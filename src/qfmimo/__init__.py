@@ -43,7 +43,6 @@ from .harness import (
 from .linkrate import (
     HIER,
     TDMA_EXACT_SINR,
-    TDMA_WORST_CASE,
     LinkCapacityModel,
     SchedulingSet,
     build_scheduling_sets,
@@ -102,7 +101,6 @@ __all__ = [
     "SweepFailure",
     "SweepRow",
     "TDMA_EXACT_SINR",
-    "TDMA_WORST_CASE",
     "UpperBoundReport",
     "achievable_rate",
     "build_scheduling_sets",

@@ -199,7 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # A ValueError past configuration is a numerical failure inside a
+        # point, as run_sweep already treats it.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

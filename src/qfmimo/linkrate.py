@@ -4,13 +4,15 @@ Within a group of n2 destinations, every ordered pair must exchange one
 quantized observation.  The pairs are organized into n2 - 1 scheduling sets
 (perfect matchings of directed pairs); groups reuse the spectrum under a
 4-cell activation pattern where one cell out of every 2x2 block is active at
-a time.  Three capacity models are provided for a directed in-group link:
+a time.  Link capacities are computed per receiver, for every transmitter
+rank at once, under one of two models:
 
-* exact-geometry SINR under the 4-cell reuse pattern (default in tdma mode),
-* the pessimistic closed-form worst-case bound (kept as a diagnostic: it is
-  negative for every admissible parameter choice, see
-  tdma_worst_case_capacity),
+* exact-geometry SINR under the 4-cell reuse pattern (tdma mode),
 * the hierarchical-cooperation per-node rate guarantee c2 * n2**(-epsilon).
+
+The pessimistic closed-form worst-case bound is kept as a diagnostic only
+(tdma_worst_case_capacity): it is negative for every admissible parameter
+choice.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import numpy as np
 
 from .netgeom import NetworkParams, NetworkRealization
 
-TDMA_WORST_CASE = "tdma_worst_case"
 TDMA_EXACT_SINR = "tdma_exact_sinr"
 HIER = "hier"
 
-LINK_MODES = (TDMA_WORST_CASE, TDMA_EXACT_SINR, HIER)
+LINK_MODES = (TDMA_EXACT_SINR, HIER)
 
 # Partial-sum length for the zeta evaluation; with the Euler-Maclaurin tail
 # below this keeps the absolute error under 1e-9 for every s > 1.
@@ -118,58 +119,69 @@ def tdma4_active_groups(realization: NetworkRealization, k: int) -> list[int]:
     ]
 
 
-def exact_sinr_capacity(
-    realization: NetworkRealization,
-    k: int,
-    pair: tuple[int, int],
-    params,
-    rng: np.random.Generator | None = None,
-    trials: int | None = None,
-    trunc_radius: float = math.inf,
-) -> float:
-    """Exact-geometry capacity of directed in-group link (rank i -> rank j).
+def _exact_sinr_capacities(
+    realization: NetworkRealization, k: int, j: int, params
+) -> np.ndarray:
+    """Exact-geometry capacities of every in-group link into rank j of group k.
 
     While pair (i, j) is served in group k, the rank-i member of every other
     co-active group transmits as well (clamped to the last member when a
     group is smaller), so
 
-        SINR = p1 |h_ij|**2 / (1 + p1 * sum_l |h_l|**2).
+        SINR_i = p1 |h_ij|**2 / (1 + p1 * sum_l |h_l|**2).
 
     Unit-modulus fading leaves every received power at its deterministic
     path-loss value, so the ergodic log2(1 + SINR) equals its single-draw
-    value; rng/trials are accepted for interface parity but cannot change the
-    estimate.  The in-set TDMA share contributes the 1/n2 prefactor, and the
-    result is >= 0 by construction.  `params` only needs `p1` and `alpha`
-    attributes.  Interferers beyond trunc_radius are ignored when a finite
-    radius is given.
+    value.  The in-set TDMA share contributes the 1/n2 prefactor, and every
+    entry is >= 0 by construction.  Entry i is the capacity of link i -> j
+    for all ranks i at once; entry j, the receiver's own observation, is
+    infinite.  `params` only needs `p1` and `alpha` attributes; callers
+    check that j is a rank of group k.
     """
     members = realization.group_members[k]
     n2 = members.size
+    pos = realization.dest_pos
+    rx = pos[members[j]]
+    sig_dist = np.linalg.norm(pos[members] - rx, axis=1)
+    if np.count_nonzero(sig_dist == 0.0) > 1:
+        raise ValueError("transmitter and receiver share a position")
+    sig_dist[j] = 1.0  # any positive value: caps[j] is overwritten below
+
+    others = [l for l in tdma4_active_groups(realization, k) if l != k]
+    if others:
+        # tx[i, c] is the rank-min(i, size - 1) member of co-active group c.
+        sizes = np.array([realization.n2_of(l) for l in others])
+        starts = np.cumsum(sizes) - sizes
+        flat = np.concatenate([realization.group_members[l] for l in others])
+        tx = flat[starts + np.minimum(np.arange(n2)[:, None], sizes - 1)]
+        dist = np.linalg.norm(pos[tx] - rx, axis=-1)
+        if not dist.all():
+            raise ValueError("interferer and receiver share a position")
+        interference = (params.p1 * dist**-params.alpha).sum(axis=1)
+    else:
+        interference = np.zeros(n2)
+
+    sinr = params.p1 * sig_dist**-params.alpha / (1.0 + interference)
+    caps = np.log2(1.0 + sinr) / n2
+    caps[j] = math.inf
+    return caps
+
+
+def exact_sinr_capacity(
+    realization: NetworkRealization, k: int, pair: tuple[int, int], params
+) -> float:
+    """Exact-geometry capacity of directed in-group link (rank i -> rank j).
+
+    One entry of the per-receiver vector that link_capacity returns in tdma
+    mode; see _exact_sinr_capacities for the SINR model.
+    """
+    n2 = realization.n2_of(k)
     i, j = pair
     if i == j or not (0 <= i < n2 and 0 <= j < n2):
         raise ValueError(
             f"pair {pair} is not served by any scheduling set of a group of size {n2}"
         )
-    pos = realization.dest_pos
-    rx = pos[members[j]]
-    sig_dist = float(np.linalg.norm(pos[members[i]] - rx))
-    if sig_dist == 0.0:
-        raise ValueError("transmitter and receiver share a position")
-
-    interference = 0.0
-    for l in tdma4_active_groups(realization, k):
-        if l == k:
-            continue
-        other = realization.group_members[l]
-        tx = pos[other[min(i, other.size - 1)]]
-        dist = float(np.linalg.norm(tx - rx))
-        if dist == 0.0:
-            raise ValueError("interferer and receiver share a position")
-        if dist <= trunc_radius:
-            interference += params.p1 * dist**-params.alpha
-
-    sinr = params.p1 * sig_dist**-params.alpha / (1.0 + interference)
-    return math.log2(1.0 + sinr) / n2
+    return float(_exact_sinr_capacities(realization, k, j, params)[i])
 
 
 @dataclass(frozen=True)
@@ -181,7 +193,6 @@ class LinkCapacityModel:
     alpha: float
     epsilon: float = 0.05
     c2: float = 1.0
-    trunc_radius: float = math.inf
 
     def __post_init__(self) -> None:
         if self.mode not in LINK_MODES:
@@ -200,19 +211,18 @@ class LinkCapacityModel:
 
 
 def link_capacity(
-    model: LinkCapacityModel,
-    realization: NetworkRealization,
-    k: int,
-    pair: tuple[int, int],
-) -> float:
-    """Capacity of the directed in-group link `pair` under `model`."""
+    model: LinkCapacityModel, realization: NetworkRealization, k: int, j: int
+) -> np.ndarray:
+    """Capacities of every in-group link into receiver rank j of group k.
+
+    Entry i is the capacity of link i -> j under `model`; entry j, the
+    receiver's own observation, is infinite.
+    """
     n2 = realization.n2_of(k)
+    if not 0 <= j < n2:
+        raise ValueError(f"rank {j} not in group {k} of size {n2}")
     if model.mode == HIER:
-        return hier_capacity(n2, model.epsilon, model.c2)
-    if model.mode == TDMA_EXACT_SINR:
-        return exact_sinr_capacity(
-            realization, k, pair, model, trunc_radius=model.trunc_radius
-        )
-    return tdma_worst_case_capacity(
-        1.0 / realization.grid_side, n2, model.p1, model.alpha
-    )
+        caps = np.full(n2, hier_capacity(n2, model.epsilon, model.c2))
+        caps[j] = math.inf
+        return caps
+    return _exact_sinr_capacities(realization, k, j, model)

@@ -9,6 +9,7 @@ the reference path loss used by the channel and rate modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,11 @@ class NetworkParams:
     sample_size: int = 50
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        for name in ("beta", "alpha", "p0", "p1", "c2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.alpha <= 2:

@@ -35,36 +35,42 @@ _LOG2 = math.log(2.0)
 
 
 def received_power(
-    realization: NetworkRealization, k: int, i: int, p0: float, alpha: float
-) -> float:
+    realization: NetworkRealization, k: int, i: int | np.ndarray, p0: float, alpha: float
+) -> float | np.ndarray:
     """Mean received power E|Y|**2 at member i of group k, unit noise included.
 
     The source scales its power so the group's farthest member sees SNR p0;
-    member i therefore receives p0 * (d_far / d_i)**alpha + 1.
+    member i therefore receives p0 * (d_far / d_i)**alpha + 1.  `i` may be a
+    rank or an array of ranks.
     """
     d = realization.group_distances(k)
     return p0 * (d[-1] / d[i]) ** alpha + 1.0
 
 
 def quantization_noise(
-    e_y2: float, c_link: float, delta: float, n: int, n2: int
-) -> float:
+    e_y2: float | np.ndarray, c_link: float | np.ndarray, delta: float, n: int, n2: int
+) -> float | np.ndarray:
     """Smallest quantization-noise variance the link capacity c_link allows.
 
-    Returns NO_RELAY (inf) when c_link <= 0: the link cannot carry any
-    quantization index and the relay is dropped from the decode.
+    Elementwise over array arguments; scalar arguments give a float.  Returns
+    NO_RELAY (inf) where c_link <= 0: the link cannot carry any quantization
+    index and the relay is dropped from the decode.  An infinite capacity
+    gives exactly zero noise.  A received power below the unit noise floor
+    or a NaN capacity raises ValueError.
     """
-    if e_y2 < 1.0:
+    e_y2 = np.asarray(e_y2, dtype=float)
+    c_link = np.asarray(c_link, dtype=float)
+    if not np.all(e_y2 >= 1.0):
         raise ValueError(f"received power must include unit noise, got {e_y2}")
-    if c_link <= 0.0:
-        return NO_RELAY
+    if np.isnan(c_link).any():
+        raise ValueError(f"link capacity must not be NaN, got {c_link}")
     expo = ((1.0 - delta) / delta) * (n / (4.0 * n2)) * c_link
-    try:
+    with np.errstate(over="ignore", divide="ignore"):
         denom = 2.0**expo - 1.0
-    except OverflowError:
-        # 2**expo - 1 == 2**expo to machine precision up here.
-        return e_y2 * 2.0 ** (-expo)
-    return e_y2 / denom
+        # Where 2**expo overflows, 2**expo - 1 == 2**expo to machine precision.
+        noise = np.where(np.isinf(denom), e_y2 * 2.0 ** (-expo), e_y2 / denom)
+    noise = np.where(c_link > 0.0, noise, NO_RELAY)
+    return float(noise) if noise.ndim == 0 else noise
 
 
 def quantized_mimo_rate(
@@ -141,20 +147,10 @@ def noise_profile(
 ) -> QuantizerNoiseProfile:
     """Link capacities and quantization noises seen by destination (k, j)."""
     n2 = realization.n2_of(k)
-    if not 0 <= j < n2:
-        raise ValueError(f"rank {j} not in group {k} of size {n2}")
-    n = realization.n
-    caps = np.empty(n2)
-    noises = np.empty(n2)
-    powers = np.empty(n2)
-    for i in range(n2):
-        powers[i] = received_power(realization, k, i, params.p0, params.alpha)
-        if i == j:
-            caps[i] = math.inf
-            noises[i] = 0.0
-        else:
-            caps[i] = link_capacity(link_model, realization, k, (i, j))
-            noises[i] = quantization_noise(powers[i], caps[i], params.delta, n, n2)
+    powers = received_power(realization, k, np.arange(n2), params.p0, params.alpha)
+    caps = link_capacity(link_model, realization, k, j)
+    noises = quantization_noise(powers, caps, params.delta, realization.n, n2)
+    noises[j] = 0.0  # the target's own observation is not quantized
     return QuantizerNoiseProfile(
         group=k,
         target_rank=j,
@@ -201,27 +197,18 @@ def achievable_rate(
     n2 = profile.n2
     caps, noises = profile.link_capacities, profile.noises
 
-    mi_quantize = np.empty(n2)
-    for i in range(n2):
-        if i == j:
-            mi_quantize[i] = math.inf
-        elif not math.isfinite(noises[i]):
-            mi_quantize[i] = 0.0  # relay unused, nothing forwarded
-        elif noises[i] > 0.0:
-            mi_quantize[i] = math.log2(1.0 + profile.received_powers[i] / noises[i])
-        else:
-            # Noise underflowed to zero; by construction the fidelity bound
-            # then coincides with the link budget exponent.
-            mi_quantize[i] = (
-                (1.0 - params.delta) / params.delta * (n / (4.0 * n2)) * caps[i]
-            )
+    usable = np.isfinite(noises)
+    with np.errstate(divide="ignore"):
+        fidelity = np.log2(1.0 + profile.received_powers / noises)
+    # An unused relay forwards nothing.  Where the noise underflowed to zero
+    # (the self link included) the fidelity bound coincides with the link
+    # budget exponent, infinite for the self link.
+    budget_expo = (1.0 - params.delta) / params.delta * (n / (4.0 * n2)) * caps
+    mi_quantize = np.where(usable, np.where(noises > 0.0, fidelity, budget_expo), 0.0)
 
-    # An unusable relay forwards nothing; a usable one is granted exactly its
-    # relay-phase budget (1-delta)/(4 n2) of the link capacity.
-    quantizer_rates = np.where(
-        np.isfinite(noises), (1.0 - params.delta) / (4.0 * n2) * caps, 0.0
-    )
-    quantizer_rates[j] = math.inf
+    # A usable relay is granted exactly its relay-phase budget
+    # (1-delta)/(4 n2) of the link capacity; the self link's is infinite.
+    quantizer_rates = np.where(usable, (1.0 - params.delta) / (4.0 * n2) * caps, 0.0)
 
     d = realization.group_distances(k)
     gamma = (d[-1] / d) ** (params.alpha / 2.0)
@@ -367,18 +354,16 @@ def sum_rate(
         )
 
     worst = min(destinations, key=lambda dr: dr.rate)
-    finite_noises = [
-        float(x) for dr in destinations for x in dr.noises if math.isfinite(x) and x > 0
-    ]
-    finite_caps = [
-        float(x) for dr in destinations for x in dr.link_capacities if math.isfinite(x)
-    ]
+    noises = np.concatenate([dr.noises for dr in destinations])
+    caps = np.concatenate([dr.link_capacities for dr in destinations])
+    finite_noises = noises[np.isfinite(noises) & (noises > 0.0)]
+    finite_caps = caps[np.isfinite(caps)]
     return RateReport(
         n=n,
         destinations=destinations,
         r_ind=worst.rate,
         r_sum=n * worst.rate,
         r_sum_stderr=n * worst.stderr,
-        n_max=max(finite_noises, default=0.0),
-        c_link_min=min(finite_caps, default=math.nan),
+        n_max=float(finite_noises.max()) if finite_noises.size else 0.0,
+        c_link_min=float(finite_caps.min()) if finite_caps.size else math.nan,
     )

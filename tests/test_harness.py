@@ -290,6 +290,10 @@ def test_cli_invalid_configuration_exits_2(tmp_path):
     assert main(["--fit", "power_law"]) == 2  # fit needs a sweep
     assert main(["--sweep", "4,2"]) == 2
     assert main(["--workers", "0"]) == 2
+    # Non-finite knobs used to run and write nan/inf rows with exit code 0.
+    assert main(["--m", "4", "--beta", "2", "--mode", "hier", "--c2", "nan"]) == 2
+    assert main(["--m", "4", "--beta", "2", "--p0", "inf"]) == 2
+    assert main(["--beta", "nan"]) == 2
 
 
 def test_cli_numerical_failure_exits_3(tmp_path):
@@ -301,6 +305,10 @@ def test_cli_numerical_failure_exits_3(tmp_path):
     )
     assert rc == 3
     assert out.exists()  # CSV flushed before the fit failed
+    # p1 * d**-alpha overflows, so co-active links get inf/inf = NaN SINRs.
+    rc = main(["--m", "4", "--beta", "3", "--p1", "1e308", "--trials", "4",
+               "--sample-size", "4", "--out", str(tmp_path / "nan.csv")])
+    assert rc == 3
 
 
 def test_cli_sweep_with_fit(tmp_path, capsys):

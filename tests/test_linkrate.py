@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qfmimo import (
     HIER,
     TDMA_EXACT_SINR,
-    TDMA_WORST_CASE,
     LinkCapacityModel,
     NetworkParams,
     build_scheduling_sets,
@@ -218,13 +217,6 @@ def test_interferer_rank_clamps_to_smaller_group():
     assert value == pytest.approx(expected, rel=1e-12)
 
 
-def test_truncation_radius_drops_far_interferers():
-    r = _two_group_realization(co_active=True)
-    far_cut = exact_sinr_capacity(r, 0, (0, 1), EXACT_PARAMS, trunc_radius=0.1)
-    clean = exact_sinr_capacity(_two_group_realization(False), 0, (0, 1), EXACT_PARAMS)
-    assert far_cut == pytest.approx(clean, rel=1e-12)
-
-
 def test_capacity_nonnegative_on_random_networks():
     p = NetworkParams(m=4, beta=3.0, seed=2)
     r = place_nodes(p, derive_rng(2, 0))
@@ -266,15 +258,69 @@ def test_model_from_params_maps_modes():
 
 def test_link_capacity_dispatch():
     hier = LinkCapacityModel(mode=HIER, p1=1.0, alpha=4.0, epsilon=0.1, c2=2.0)
-    assert link_capacity(hier, LONE_GROUP, 0, (0, 1)) == pytest.approx(2.0 * 4**-0.1)
+    caps = link_capacity(hier, LONE_GROUP, 0, 1)
+    np.testing.assert_allclose(np.delete(caps, 1), 2.0 * 4**-0.1, rtol=1e-12)
+    assert caps[1] == math.inf
 
     exact = LinkCapacityModel(mode=TDMA_EXACT_SINR, p1=1.0, alpha=4.0)
-    assert link_capacity(exact, LONE_GROUP, 0, (0, 1)) == pytest.approx(
+    caps = link_capacity(exact, LONE_GROUP, 0, 1)
+    assert caps.shape == (4,)
+    assert caps[1] == math.inf
+    assert caps[0] == pytest.approx(
         exact_sinr_capacity(LONE_GROUP, 0, (0, 1), EXACT_PARAMS)
     )
+    with pytest.raises(ValueError):
+        link_capacity(hier, LONE_GROUP, 0, 4)
 
-    worst = LinkCapacityModel(mode=TDMA_WORST_CASE, p1=1.0, alpha=4.0)
-    assert link_capacity(worst, LONE_GROUP, 0, (0, 1)) == pytest.approx(
-        tdma_worst_case_capacity(0.5, 4, 1.0, 4.0)
-    )
-    assert link_capacity(worst, LONE_GROUP, 0, (0, 1)) < 0.0
+
+# ---------------------------------------------------------------------------
+# per-receiver kernel against the per-pair reference loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_pair_capacity(realization, k, pair, params):
+    """Per-pair, per-interferer loop the per-receiver kernel replaced."""
+    members = realization.group_members[k]
+    i, j = pair
+    pos = realization.dest_pos
+    rx = pos[members[j]]
+    sig_dist = float(np.linalg.norm(pos[members[i]] - rx))
+    interference = 0.0
+    for l in tdma4_active_groups(realization, k):
+        if l == k:
+            continue
+        other = realization.group_members[l]
+        tx = pos[other[min(i, other.size - 1)]]
+        interference += params.p1 * float(np.linalg.norm(tx - rx)) ** -params.alpha
+    sinr = params.p1 * sig_dist**-params.alpha / (1.0 + interference)
+    return math.log2(1.0 + sinr) / members.size
+
+
+def _assert_kernel_matches_reference(realization, params):
+    model = LinkCapacityModel.from_params(params)
+    checked = 0
+    for k in range(realization.n1):
+        n2 = realization.n2_of(k)
+        for j in range(n2):
+            caps = link_capacity(model, realization, k, j)
+            assert caps[j] == math.inf
+            for i in range(n2):
+                if i == j:
+                    continue
+                want = _reference_pair_capacity(realization, k, (i, j), params)
+                assert caps[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert exact_sinr_capacity(realization, k, (i, j), params) == caps[i]
+                checked += 1
+    return checked
+
+
+def test_receiver_kernel_matches_pair_loop_on_random_network():
+    p = NetworkParams(m=8, beta=2.5, alpha=3.0, p1=2.0, seed=4)
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    assert max(len(tdma4_active_groups(r, k)) for k in range(r.n1)) > 2
+    assert _assert_kernel_matches_reference(r, p) > 1000
+
+
+def test_receiver_kernel_matches_pair_loop_with_clamped_rank():
+    r = _two_group_realization(co_active=True)
+    assert _assert_kernel_matches_reference(r, EXACT_PARAMS) == 2

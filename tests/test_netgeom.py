@@ -42,6 +42,17 @@ def test_default_params_are_valid():
         dict(p0=-1.0),
         dict(p1=-0.5),
         dict(seed=-1),
+        dict(m=True),
+        dict(beta=float("nan")),
+        dict(beta=float("inf")),
+        dict(alpha=float("nan")),
+        dict(alpha=float("inf")),
+        dict(p0=float("nan")),
+        dict(p0=float("inf")),
+        dict(p1=float("nan")),
+        dict(p1=float("inf")),
+        dict(c2=float("nan")),
+        dict(c2=float("inf")),
     ],
 )
 def test_invalid_params_rejected(kwargs):

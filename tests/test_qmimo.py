@@ -74,9 +74,32 @@ def test_noise_no_relay_sentinel():
     assert quantization_noise(2.0, -1.0, 0.5, 16, 4) == NO_RELAY
 
 
+def test_noise_array_call_matches_scalar_cases():
+    caps = np.array([1.0, 1e3, 1e9, 0.0, -1.0, math.inf])
+    noises = quantization_noise(np.full(caps.size, 2.0), caps, 0.5, 16, 4)
+    assert noises.shape == caps.shape
+    assert noises[0] == 2.0
+    assert 0.0 < noises[1] < 1e-290
+    assert noises[2] == 0.0  # 2**expo overflows
+    assert noises[3] == noises[4] == NO_RELAY
+    assert noises[5] == 0.0  # self link
+    for c, value in zip(caps, noises):
+        assert quantization_noise(2.0, float(c), 0.5, 16, 4) == value
+
+
 def test_noise_requires_unit_noise_floor():
     with pytest.raises(ValueError):
         quantization_noise(0.5, 1.0, 0.5, 16, 4)
+    with pytest.raises(ValueError):
+        quantization_noise(np.array([2.0, 0.5]), np.ones(2), 0.5, 16, 4)
+
+
+def test_noise_rejects_nan_capacity():
+    # A NaN capacity must not pass for an unusable link and drop its relay.
+    with pytest.raises(ValueError):
+        quantization_noise(2.0, math.nan, 0.5, 16, 4)
+    with pytest.raises(ValueError):
+        quantization_noise(np.full(2, 2.0), np.array([1.0, math.nan]), 0.5, 16, 4)
 
 
 def test_noise_profile_shape_and_self_link():
