@@ -17,13 +17,6 @@ from .bounds import (
     lozano_regime_value,
     mimo_ergodic_capacity_mc,
 )
-from .channel import (
-    GroupChannel,
-    ScalarChannel,
-    phase_matrix,
-    sample_group_channel,
-    sample_pair_channel,
-)
 from .harness import (
     CSV_HEADER,
     ConfigError,
@@ -70,6 +63,7 @@ from .qmimo import (
     achievable_rate,
     check_rate_constraints,
     noise_profile,
+    phase_matrix,
     quantization_noise,
     quantized_mimo_rate,
     rate_lower_bound_iid,
@@ -82,7 +76,6 @@ __all__ = [
     "CSV_HEADER",
     "ConfigError",
     "DestinationRate",
-    "GroupChannel",
     "HIER",
     "LinkCapacityModel",
     "NO_RELAY",
@@ -95,7 +88,6 @@ __all__ = [
     "RateReport",
     "RatioFit",
     "RegimeOracle",
-    "ScalarChannel",
     "ScalingSeries",
     "SchedulingSet",
     "SweepFailure",
@@ -129,8 +121,6 @@ __all__ = [
     "riemann_zeta",
     "run_point",
     "run_sweep",
-    "sample_group_channel",
-    "sample_pair_channel",
     "sum_rate",
     "tdma4_active_groups",
     "tdma_worst_case_capacity",

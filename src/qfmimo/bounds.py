@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import phase_matrix
 from .netgeom import NetworkParams, NetworkRealization
-
-_LOG2 = math.log(2.0)
+from .qmimo import ergodic_logdet
 
 REGIME_A_INF = "a_to_inf"
 REGIME_A_ONE = "a_to_1"
@@ -74,25 +72,13 @@ def mimo_ergodic_capacity_mc(
     """Monte Carlo ergodic capacity E[log2 det(I + (p/m) Th Th')].
 
     Th is an (n_rx, m) matrix of i.i.d. unit-modulus phases (isotropic input
-    across the m antennas).  Returns (capacity, standard error); the log-det
-    is evaluated on the smaller side of the product.
+    across the m antennas).  Returns (capacity, standard error).
     """
     if n_rx < 1 or m < 1 or trials < 1:
         raise ValueError("n_rx, m, and trials must all be >= 1")
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
-    theta = phase_matrix(rng, trials, n_rx, m)
-    s = math.sqrt(p / m) * theta
-    if n_rx <= m:
-        gram = s @ s.conj().swapaxes(-1, -2)
-    else:
-        gram = s.conj().swapaxes(-1, -2) @ s
-    gram += np.eye(min(n_rx, m))
-    _, logdet = np.linalg.slogdet(gram)
-    vals = logdet / _LOG2
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean, stderr
+    return ergodic_logdet(np.full(n_rx, math.sqrt(p / m)), m, trials, rng)
 
 
 def lozano_regime_value(regime: str, p: float, a: float | None = None) -> float:

@@ -12,8 +12,10 @@ artifact.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import IO, Iterable
@@ -151,7 +153,8 @@ def run_point(params: NetworkParams) -> PointResult:
 
     Every random stream derives from params.seed, so repeated calls are
     bit-identical.  The realization depends on geometry knobs only, never on
-    the relay mode.
+    the relay mode.  Raises NumericalError when an output the CSV reports is
+    not finite (C_link_min may be NaN: the sample had no relay link).
     """
     t0 = perf_counter()
     realization = place_nodes(params, derive_rng(params.seed, 0))
@@ -168,6 +171,17 @@ def run_point(params: NetworkParams) -> PointResult:
         realization, model, params, derive_rng(params.seed, 1), params.sample_size
     )
     upper = cutset_upper_bound(realization, params)
+    outputs = {
+        "R_sum": report.r_sum,
+        "R_sum_stderr": report.r_sum_stderr,
+        "R_upper": upper.value,
+        "N_max": report.n_max,
+    }
+    bad = [f"{k}={v}" for k, v in outputs.items() if not math.isfinite(v)]
+    if math.isinf(report.c_link_min):
+        bad.append(f"C_link_min={report.c_link_min}")
+    if bad:
+        raise NumericalError(f"non-finite output at m={params.m}: {', '.join(bad)}")
     return PointResult(
         params=params,
         report=report,
@@ -209,31 +223,19 @@ def run_sweep(
     if any(m < 1 for m in m_list):
         raise ConfigError("sweep m values must be positive")
 
-    results: dict[int, PointResult] = {}
-    failure: tuple[int, BaseException] | None = None
-    if workers > 1 and len(m_list) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {m: pool.submit(_run_point_row, (params, m)) for m in m_list}
-            for m in m_list:
-                try:
-                    results[m] = futures[m].result()
-                except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-                    failure = (m, exc)
-                    break
-    else:
-        for m in m_list:
-            try:
-                results[m] = _run_point_row((params, m))
-            except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-                failure = (m, exc)
-                break
-
-    rows = [results[m].row() for m in m_list if m in results]
-    series = ScalingSeries(rows=rows)
-    if failure is not None:
-        m_bad, exc = failure
-        raise SweepFailure(f"sweep point m={m_bad} failed: {exc}", partial=series)
-    return series
+    rows: list[SweepRow] = []
+    parallel = workers > 1 and len(m_list) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        points = (pool.map if parallel else map)(_run_point_row, [(params, m) for m in m_list])
+        try:
+            for result in points:
+                rows.append(result.row())
+        except (NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            raise SweepFailure(
+                f"sweep point m={m_list[len(rows)]} failed: {exc}",
+                partial=ScalingSeries(rows=rows),
+            ) from exc
+    return ScalingSeries(rows=rows)
 
 
 def fit_scaling(series: ScalingSeries, model: str) -> PowerLawFit | RatioFit:

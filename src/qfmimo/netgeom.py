@@ -2,9 +2,10 @@
 
 A run places one multi-antenna source at the center and n = round(m**beta)
 single-antenna destinations uniformly at random, partitions the square into
-a grid of equal cells, and groups destinations by cell.  Group members are
-kept sorted by distance to the source; the farthest member of a group sets
-the reference path loss used by the channel and rate modules.
+a grid of equal cells, and groups destinations by cell with one stable sort
+on (cell, distance to the source).  Group members are therefore kept sorted
+by source distance; the farthest member of a group sets the reference path
+loss used by the rate modules.
 """
 
 from __future__ import annotations
@@ -165,31 +166,30 @@ def realization_from_positions(
 
     source_dist = np.linalg.norm(dest_pos - src, axis=1)
     # Points exactly on the upper/right boundary fold into the last cell.
-    cols = np.minimum((dest_pos[:, 0] * g).astype(int), g - 1)
-    rows = np.minimum((dest_pos[:, 1] * g).astype(int), g - 1)
-    cell_id = rows * g + cols
-    cell_counts = np.bincount(cell_id, minlength=g * g).reshape(g, g)
+    cell_id = np.minimum((dest_pos[:, 1] * g).astype(int), g - 1)
+    cell_id *= g
+    cell_id += np.minimum((dest_pos[:, 0] * g).astype(int), g - 1)
+    counts = np.bincount(cell_id, minlength=g * g)
+    group_of = (np.cumsum(counts > 0) - 1)[cell_id]
+    del cell_id  # keeps peak memory down at large n
 
-    group_members: list[np.ndarray] = []
-    group_cells: list[tuple[int, int]] = []
-    group_of = np.empty(n, dtype=int)
+    # One stable sort orders destinations by group, then by source distance;
+    # distance ties keep index order.
+    order = np.lexsort((source_dist, group_of))
+    occupied = np.flatnonzero(counts)
+    sizes = counts[occupied]
+    starts = np.cumsum(sizes) - sizes
     rank_of = np.empty(n, dtype=int)
-    for cid in np.flatnonzero(cell_counts.reshape(-1)):
-        members = np.flatnonzero(cell_id == cid)
-        members = members[np.argsort(source_dist[members], kind="stable")]
-        k = len(group_members)
-        group_members.append(members)
-        group_cells.append((int(cid) // g, int(cid) % g))
-        group_of[members] = k
-        rank_of[members] = np.arange(len(members))
+    rank_of[order] = np.arange(n)
+    rank_of -= starts[group_of]
 
     return NetworkRealization(
         source_pos=src,
         dest_pos=dest_pos,
         grid_side=g,
-        group_members=group_members,
-        group_cells=group_cells,
-        cell_counts=cell_counts,
+        group_members=np.split(order, starts[1:]),
+        group_cells=[(int(c) // g, int(c) % g) for c in occupied],
+        cell_counts=counts.reshape(g, g),
         source_dist=source_dist,
         group_of=group_of,
         rank_of=rank_of,

@@ -15,6 +15,8 @@ ergodic log-det of the group MIMO channel with per-row effective noise
 with G the diagonal of path-loss ratios, Th the unit-modulus phase matrix and
 Q = diag(1 + N_i).  A destination's own observation is unquantized (N = 0);
 a useless link (C <= 0) removes its relay from the determinant entirely.
+The phase draws and the ergodic log-det kernel here also serve the cut-set
+module's Monte Carlo capacity oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import phase_matrix
 from .linkrate import LinkCapacityModel, link_capacity
 from .netgeom import NetworkParams, NetworkRealization
 
@@ -32,6 +33,38 @@ from .netgeom import NetworkParams, NetworkRealization
 NO_RELAY = math.inf
 
 _LOG2 = math.log(2.0)
+
+
+def phase_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Complex array of the given shape with unit-modulus i.i.d. phases.
+
+    Fading enters only through these phases, uniform on [0, 2*pi) and redrawn
+    on every sample; magnitudes are deterministic path losses.
+    """
+    return np.exp(2j * np.pi * rng.random(shape))
+
+
+def ergodic_logdet(
+    row_scale: np.ndarray, m: int, trials: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of log2 det(I + S S').
+
+    S = diag(row_scale) Th with Th a fresh (rows, m) phase matrix per trial.
+    The determinant is evaluated on the smaller side of the product.
+    """
+    rows = row_scale.size
+    theta = phase_matrix(rng, trials, rows, m)
+    s = row_scale[None, :, None] * theta
+    if rows <= m:
+        gram = s @ s.conj().swapaxes(-1, -2)
+    else:
+        gram = s.conj().swapaxes(-1, -2) @ s
+    gram += np.eye(min(rows, m))
+    _, logdet = np.linalg.slogdet(gram)
+    vals = logdet / _LOG2
+    mean = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return mean, stderr
 
 
 def received_power(
@@ -87,8 +120,7 @@ def quantized_mimo_rate(
 
     Averages log2 det(I + (p0/m) G Th Th' G Q^{-1}) over fresh phase draws;
     rows with NO_RELAY noise are dropped.  Returns (rate, standard error,
-    mean log-det), where rate = (delta/n) * mean log-det.  The determinant is
-    evaluated on the smaller side of the (kept rows) x m product.
+    mean log-det), where rate = (delta/n) * mean log-det.
     """
     gamma = np.asarray(gamma, dtype=float)
     noises = np.asarray(noises, dtype=float)
@@ -99,20 +131,7 @@ def quantized_mimo_rate(
     # det(I + c G Th Th' G Q^{-1}) = det(I + S S') with S = diag(row_scale) Th,
     # since G and Q are diagonal and commute.
     row_scale = math.sqrt(p0 / m) * gamma[keep] / np.sqrt(1.0 + noises[keep])
-    rows = int(keep.sum())
-
-    theta = phase_matrix(rng, trials, rows, m)
-    s = row_scale[None, :, None] * theta
-    if rows <= m:
-        gram = s @ s.conj().swapaxes(-1, -2)
-    else:
-        gram = s.conj().swapaxes(-1, -2) @ s
-    gram += np.eye(min(rows, m))
-    _, logdet = np.linalg.slogdet(gram)
-    vals = logdet / _LOG2
-
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean, stderr = ergodic_logdet(row_scale, m, trials, rng)
     share = delta / n
     return share * mean, share * stderr, mean
 
@@ -303,8 +322,8 @@ class RateReport:
     r_ind is the minimum estimated rate over the evaluated destinations and
     r_sum = n * r_ind exactly; r_sum_stderr scales the standard error of the
     minimizing destination.  n_max is the largest finite quantization noise
-    seen, c_link_min the smallest finite link capacity (NaN when the sample
-    contains no relay links at all).
+    seen, c_link_min the smallest relay-link capacity, self links excluded
+    (NaN when no sampled destination has a relay).
     """
 
     n: int
@@ -355,9 +374,10 @@ def sum_rate(
 
     worst = min(destinations, key=lambda dr: dr.rate)
     noises = np.concatenate([dr.noises for dr in destinations])
-    caps = np.concatenate([dr.link_capacities for dr in destinations])
+    relay_caps = np.concatenate(
+        [np.delete(dr.link_capacities, dr.rank) for dr in destinations]
+    )
     finite_noises = noises[np.isfinite(noises) & (noises > 0.0)]
-    finite_caps = caps[np.isfinite(caps)]
     return RateReport(
         n=n,
         destinations=destinations,
@@ -365,5 +385,5 @@ def sum_rate(
         r_sum=n * worst.rate,
         r_sum_stderr=n * worst.stderr,
         n_max=float(finite_noises.max()) if finite_noises.size else 0.0,
-        c_link_min=float(finite_caps.min()) if finite_caps.size else math.nan,
+        c_link_min=float(relay_caps.min()) if relay_caps.size else math.nan,
     )

@@ -3,51 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfmimo import (
-    NetworkParams,
-    derive_rng,
-    phase_matrix,
-    realization_from_positions,
-    sample_group_channel,
-    sample_pair_channel,
-)
+from qfmimo import derive_rng, phase_matrix, realization_from_positions
 
-PARAMS = NetworkParams(m=3, alpha=4.0)
-
-
-def _single_group(positions):
-    return realization_from_positions(np.array(positions), grid_side=1)
-
-
-def test_gamma_single_member():
-    r = _single_group([[0.0, 0.5]])  # distance 0.5 from the source
-    ch = sample_group_channel(r, 0, PARAMS, derive_rng(0))
-    assert ch.gamma[0] == 1.0
-    assert ch.path_gain[0] == pytest.approx(0.5**-2.0)  # == 4
-
-
-def test_gamma_two_members():
-    # distances 0.5 and 0.6 -> gamma = diag((0.6/0.5)**2, 1)
-    r = _single_group([[0.0, 0.5], [0.02, 0.86]])
-    assert r.group_distances(0) == pytest.approx([0.5, 0.6])
-    ch = sample_group_channel(r, 0, PARAMS, derive_rng(0))
-    assert ch.gamma == pytest.approx([1.44, 1.0])
-    assert ch.gamma[-1] == 1.0
+M = 3
 
 
 def test_theta_unit_modulus():
-    r = _single_group([[0.2, 0.3], [0.8, 0.9], [0.4, 0.1]])
-    ch = sample_group_channel(r, 0, PARAMS, derive_rng(5))
-    assert ch.theta.shape == (3, PARAMS.m)
-    assert np.allclose(np.abs(ch.theta), 1.0, atol=1e-12)
-
-
-def test_channel_rows_combine_path_loss_and_phase():
-    r = _single_group([[0.0, 0.5], [0.02, 0.86]])
-    ch = sample_group_channel(r, 0, PARAMS, derive_rng(9))
-    rows = ch.rows()
-    assert np.allclose(np.abs(rows), ch.path_gain[:, None], atol=1e-12)
-    assert np.allclose(rows, ch.path_gain[:, None] * ch.theta)
+    theta = phase_matrix(derive_rng(5), 3, M)
+    assert theta.shape == (3, M)
+    assert np.allclose(np.abs(theta), 1.0, atol=1e-12)
 
 
 @given(
@@ -62,22 +26,6 @@ def test_gamma_entries_at_least_one(dists, alpha):
     assert gamma[-1] == 1.0
 
 
-def test_pair_channel_magnitudes():
-    r = _single_group([[0.0, 0.5], [1.0, 0.5], [0.25, 0.5]])
-    h1 = sample_pair_channel(r, 0, 1, PARAMS, derive_rng(1))  # distance 1
-    assert h1.magnitude == pytest.approx(1.0)
-    h2 = sample_pair_channel(r, 0, 2, PARAMS, derive_rng(1))  # distance 0.25
-    assert h2.magnitude == pytest.approx(16.0)
-
-
-def test_pair_channel_rejects_degenerate_pairs():
-    r = _single_group([[0.3, 0.3], [0.3, 0.3]])
-    with pytest.raises(ValueError):
-        sample_pair_channel(r, 0, 0, PARAMS, derive_rng(0))
-    with pytest.raises(ValueError):
-        sample_pair_channel(r, 0, 1, PARAMS, derive_rng(0))  # shared position
-
-
 def test_phase_mean_vanishes():
     # Empirical mean of a unit-modulus phase entry over 10^4 draws.
     samples = phase_matrix(derive_rng(42), 10_000)
@@ -85,32 +33,21 @@ def test_phase_mean_vanishes():
 
 
 def test_group_channel_phase_mean_vanishes():
-    r = _single_group([[0.2, 0.3]])
+    # One entry of successive per-group draws, as the rate estimator takes them.
     rng = derive_rng(13)
-    draws = np.array(
-        [sample_group_channel(r, 0, PARAMS, rng).theta[0, 0] for _ in range(10_000)]
-    )
+    draws = np.array([phase_matrix(rng, 1, M)[0, 0] for _ in range(10_000)])
     assert abs(draws.mean()) < 0.05
 
 
 def test_fast_fading_resamples_phases_not_magnitudes():
-    r = _single_group([[0.1, 0.8], [0.6, 0.2]])
     rng = derive_rng(77)
-    a = sample_group_channel(r, 0, PARAMS, rng)
-    b = sample_group_channel(r, 0, PARAMS, rng)
-    assert not np.allclose(a.theta, b.theta)
-    assert np.array_equal(a.path_gain, b.path_gain)
-    assert np.array_equal(a.gamma, b.gamma)
-
-    ha = sample_pair_channel(r, 0, 1, PARAMS, rng)
-    hb = sample_pair_channel(r, 0, 1, PARAMS, rng)
-    assert ha.value != hb.value
-    assert ha.magnitude == pytest.approx(hb.magnitude, rel=1e-12)
+    a = phase_matrix(rng, 2, M)
+    b = phase_matrix(rng, 2, M)
+    assert not np.allclose(a, b)
+    assert np.allclose(np.abs(a), np.abs(b), atol=1e-12)
 
 
 def test_empty_group_rejected():
-    r = _single_group([[0.2, 0.3]])
+    r = realization_from_positions(np.array([[0.2, 0.3]]), grid_side=1)
     with pytest.raises(IndexError):
         r.group_members[1]
-    with pytest.raises((IndexError, ValueError)):
-        sample_group_channel(r, 1, PARAMS, derive_rng(0))

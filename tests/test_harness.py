@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qfmimo import (
     CSV_HEADER,
@@ -130,17 +132,20 @@ def test_sweep_flushes_partial_rows_on_failure(monkeypatch):
     import qfmimo.harness as harness
 
     real_run_point = harness.run_point
-
-    def explode_on_m3(params):
-        if params.m == 3:
-            raise ValueError("forced point failure")
-        return real_run_point(params)
-
-    monkeypatch.setattr(harness, "run_point", explode_on_m3)
     p = NetworkParams(beta=2.0, seed=2, **FAST)
-    with pytest.raises(SweepFailure) as exc:
-        run_sweep(p, [2, 3, 4])
-    assert [r.m for r in exc.value.partial.rows] == [2]
+    # NumericalError is what run_point's finiteness guard raises.
+    for error in (ValueError("forced point failure"), NumericalError("non-finite output")):
+
+        def explode_on_m3(params, error=error):
+            if params.m == 3:
+                raise error
+            return real_run_point(params)
+
+        monkeypatch.setattr(harness, "run_point", explode_on_m3)
+        with pytest.raises(SweepFailure) as exc:
+            run_sweep(p, [2, 3, 4])
+        assert [r.m for r in exc.value.partial.rows] == [2]
+        assert "m=3" in str(exc.value)
 
 
 def test_upper_bound_grows_with_m_on_this_seed():
@@ -309,6 +314,47 @@ def test_cli_numerical_failure_exits_3(tmp_path):
     rc = main(["--m", "4", "--beta", "3", "--p1", "1e308", "--trials", "4",
                "--sample-size", "4", "--out", str(tmp_path / "nan.csv")])
     assert rc == 3
+    # Finite but huge knobs overflow: R_sum=nan and R_upper=inf, R_sum=-inf,
+    # R_upper=inf, and relay links of infinite capacity.  None may become a row.
+    for flag in (["--p0", "1e308"], ["--p0", "1e300"], ["--alpha", "1000"], ["--p1", "1e308"]):
+        rc = main(["--m", "3", "--beta", "2", "--trials", "4", "--sample-size", "3",
+                   *flag, "--out", str(tmp_path / "huge.csv")])
+        assert rc == 3, flag
+
+
+def _knob(low: float):
+    # Moderate values reach exit 0; the wide range reaches overflow.
+    return st.one_of(st.floats(low, 10.0), st.floats(low, 1e308))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(
+    m=st.integers(1, 4),
+    beta=st.floats(0.0, 2.5),
+    trials=st.integers(1, 4),
+    p0=_knob(0.0),
+    p1=_knob(0.0),
+    alpha=_knob(1.0),
+)
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exit_code_property(tmp_path, m, beta, trials, p0, p1, alpha):
+    # Every input is rejected (2), fails numerically (3) or gives a finite row
+    # (0).  sample_size >= n evaluates every destination, so C_link_min is NaN
+    # exactly when no destination has a relay, i.e. every group is a singleton.
+    out = tmp_path / "prop.csv"
+    out.unlink(missing_ok=True)
+    rc = main(["--m", str(m), "--beta", repr(beta), "--trials", str(trials),
+               "--p0", repr(p0), "--p1", repr(p1), "--alpha", repr(alpha),
+               "--sample-size", "100", "--out", str(out)])
+    assert rc in (0, 2, 3)
+    if rc != 0:
+        return
+    header, line = out.read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    for column in ("n2_mean", "R_sum", "R_sum_stderr", "R_upper", "N_max", "runtime_s"):
+        assert math.isfinite(float(row[column])), (column, row)
+    c_link_min = float(row["C_link_min"])
+    assert math.isfinite(c_link_min) or (math.isnan(c_link_min) and row["n1"] == row["n"])
 
 
 def test_cli_sweep_with_fit(tmp_path, capsys):

@@ -143,6 +143,47 @@ def test_groups_sorted_and_partitioned():
     assert sum(r.n2_of(k) for k in range(r.n1)) == r.n
 
 
+def _per_cell_grouping(dest_pos, g):
+    """Reference grouping: one scan per occupied cell, then a stable sort."""
+    source_dist = np.linalg.norm(dest_pos - np.array([0.5, 0.5]), axis=1)
+    cols = np.minimum((dest_pos[:, 0] * g).astype(int), g - 1)
+    rows = np.minimum((dest_pos[:, 1] * g).astype(int), g - 1)
+    cell_id = rows * g + cols
+    cell_counts = np.bincount(cell_id, minlength=g * g).reshape(g, g)
+    group_members, group_cells = [], []
+    group_of = np.empty(len(dest_pos), dtype=int)
+    rank_of = np.empty(len(dest_pos), dtype=int)
+    for cid in np.flatnonzero(cell_counts.reshape(-1)):
+        members = np.flatnonzero(cell_id == cid)
+        members = members[np.argsort(source_dist[members], kind="stable")]
+        group_of[members] = len(group_members)
+        rank_of[members] = np.arange(len(members))
+        group_members.append(members)
+        group_cells.append((int(cid) // g, int(cid) % g))
+    return group_members, group_cells, cell_counts, group_of, rank_of
+
+
+def test_sort_grouping_matches_per_cell_scan():
+    rng = np.random.default_rng(2024)
+    for case in range(300):
+        g = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 200))
+        if case % 2:
+            # Multiples of half a cell: points on cell edges, on the far
+            # boundary (folded into the last cell) and at tied distances.
+            pos = rng.integers(0, 2 * g + 1, size=(n, 2)) / (2 * g)
+        else:
+            pos = rng.random((n, 2))
+        members, cells, counts, group_of, rank_of = _per_cell_grouping(pos, g)
+        r = realization_from_positions(pos, grid_side=g)
+        assert len(r.group_members) == len(members)
+        assert all(np.array_equal(a, b) for a, b in zip(r.group_members, members))
+        assert r.group_cells == cells
+        assert np.array_equal(r.cell_counts, counts)
+        assert np.array_equal(r.group_of, group_of)
+        assert np.array_equal(r.rank_of, rank_of)
+
+
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), beta=st.floats(0.5, 2.5))
 @settings(max_examples=30)
 def test_partition_invariant_property(seed, m, beta):
