@@ -17,6 +17,16 @@ Q = diag(1 + N_i).  A destination's own observation is unquantized (N = 0);
 a useless link (C <= 0) removes its relay from the determinant entirely.
 The phase draws and the ergodic log-det kernel here also serve the cut-set
 module's Monte Carlo capacity oracle.
+
+Phases are mapped from uniform draws through a 4096-entry table of roots of
+unity times a short Taylor polynomial for the remaining angle, which is
+several times faster than a complex exp and equal to it within 2e-15.  The
+log-det kernel draws phases and forms Gram matrices in blocks of trials of
+about 8192 phase entries, so the working set stays in cache and memory does
+not grow with the trial count beyond the (trials, k, k) Gram stack.  A tall
+channel (more rows than antennas) whose row scales are so strongly graded
+that forming S'S would lose its small eigenvalues raises FloatingPointError
+instead of returning an inaccurate rate.
 """
 
 from __future__ import annotations
@@ -35,13 +45,39 @@ NO_RELAY = math.inf
 _LOG2 = math.log(2.0)
 
 
+# exp(2 pi i k / K) for k < K; K is a power of two, so splitting u * K into
+# its integer and fractional parts is exact.
+_PHASE_TABLE = np.exp(2j * np.pi * np.arange(2**12) / 2**12)
+_PHASE_STEP = 2.0 * np.pi / _PHASE_TABLE.size
+
+# Phase entries per trial block of ergodic_logdet (at least one trial).
+_BLOCK_ENTRIES = 2**13
+
+# Largest eps * m * sum(row_scale**2) for which the tall Gram S'S keeps the
+# log-det accurate; beyond it roundoff swamps the small eigenvalues.
+_TALL_GRAM_LIMIT = 1e-3
+
+
 def phase_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Complex array of the given shape with unit-modulus i.i.d. phases.
 
     Fading enters only through these phases, uniform on [0, 2*pi) and redrawn
-    on every sample; magnitudes are deterministic path losses.
+    on every sample; magnitudes are deterministic path losses.  Each entry is
+    exp(2 pi i u) for one uniform draw u, evaluated as a table root of unity
+    times the Taylor polynomial of the remaining angle x < 2 pi / 4096, whose
+    truncation error is below 1e-19.
     """
-    return np.exp(2j * np.pi * rng.random(shape))
+    u = rng.random(shape)
+    u *= _PHASE_TABLE.size
+    idx = u.astype(np.intp)
+    u -= idx
+    u *= _PHASE_STEP
+    x2 = u * u
+    theta = np.empty(shape, dtype=complex)
+    theta.real = 1.0 - x2 * (0.5 - x2 / 24.0)
+    theta.imag = u * (1.0 - x2 * (1.0 / 6.0 - x2 / 120.0))
+    theta *= _PHASE_TABLE.take(idx)
+    return theta
 
 
 def ergodic_logdet(
@@ -50,16 +86,30 @@ def ergodic_logdet(
     """Monte Carlo mean and standard error of log2 det(I + S S').
 
     S = diag(row_scale) Th with Th a fresh (rows, m) phase matrix per trial.
-    The determinant is evaluated on the smaller side of the product.
+    The determinant is evaluated on the smaller side of the product.  Trials
+    are drawn in consecutive blocks, which consume the same random stream as
+    one draw of every trial.  Raises FloatingPointError when rows > m and the
+    row scales are too large for the m x m Gram S'S to resolve det(I + S'S).
     """
     rows = row_scale.size
-    theta = phase_matrix(rng, trials, rows, m)
-    s = row_scale[None, :, None] * theta
-    if rows <= m:
-        gram = s @ s.conj().swapaxes(-1, -2)
-    else:
-        gram = s.conj().swapaxes(-1, -2) @ s
-    gram += np.eye(min(rows, m))
+    tall = rows > m
+    if tall and np.finfo(float).eps * m * (row_scale @ row_scale) > _TALL_GRAM_LIMIT:
+        raise FloatingPointError(
+            f"row scales up to {row_scale.max():.3g} over {rows} rows are too "
+            f"large for an accurate {m}x{m} Gram log-det"
+        )
+    k = min(rows, m)
+    gram = np.empty((trials, k, k), dtype=complex)
+    block = max(1, _BLOCK_ENTRIES // (rows * m))
+    for lo in range(0, trials, block):
+        hi = min(lo + block, trials)
+        s = phase_matrix(rng, hi - lo, rows, m)
+        s *= row_scale[:, None]
+        if tall:
+            np.matmul(s.conj().swapaxes(-1, -2), s, out=gram[lo:hi])
+        else:
+            np.matmul(s, s.conj().swapaxes(-1, -2), out=gram[lo:hi])
+    gram += np.eye(k)
     _, logdet = np.linalg.slogdet(gram)
     vals = logdet / _LOG2
     mean = float(vals.mean())

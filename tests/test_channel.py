@@ -26,6 +26,18 @@ def test_gamma_entries_at_least_one(dists, alpha):
     assert gamma[-1] == 1.0
 
 
+def test_phase_kernel_matches_complex_exp():
+    # The table-plus-polynomial kernel against exp(2 pi i u) on the same draws,
+    # taking exactly one uniform per entry from the stream.
+    shape = (50, 40, 30)
+    rng, twin = derive_rng(21), derive_rng(21)
+    theta = phase_matrix(rng, *shape)
+    reference = np.exp(2j * np.pi * twin.random(shape))
+    assert np.abs(theta - reference).max() < 2e-15
+    assert np.abs(np.abs(theta) - 1.0).max() < 1e-15
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_phase_mean_vanishes():
     # Empirical mean of a unit-modulus phase entry over 10^4 draws.
     samples = phase_matrix(derive_rng(42), 10_000)

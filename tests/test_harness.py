@@ -320,6 +320,11 @@ def test_cli_numerical_failure_exits_3(tmp_path):
         rc = main(["--m", "3", "--beta", "2", "--trials", "4", "--sample-size", "3",
                    *flag, "--out", str(tmp_path / "huge.csv")])
         assert rc == 3, flag
+    # Graded tall groups at p0 = 1e16: the m x m Gram drops the small
+    # eigenvalues, so the rate would come out finite but percents low.
+    rc = main(["--m", "4", "--beta", "3", "--trials", "4", "--sample-size", "3",
+               "--p0", "1e16", "--seed", "1", "--out", str(tmp_path / "graded.csv")])
+    assert rc == 3
 
 
 def _knob(low: float):

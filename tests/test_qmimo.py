@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from qfmimo import (
     received_power,
     sum_rate,
 )
+from qfmimo import qmimo
+from qfmimo.qmimo import ergodic_logdet
 
 # One group at source distances (0.5, 0.6).
 TWO_MEMBER = realization_from_positions(
@@ -192,6 +195,44 @@ def test_rate_uses_small_side_of_product():
         mat = np.eye(5) + (p0 / m) * g @ theta[t] @ theta[t].conj().T @ g @ qinv
         vals.append(math.log2(abs(np.linalg.det(mat))))
     assert rate == pytest.approx((0.5 / 25) * np.mean(vals), rel=1e-10)
+
+
+@pytest.mark.parametrize("rows, m, trials", [(37, 5, 23), (4, 9, 17), (3, 3, 1)])
+def test_logdet_independent_of_trial_block(monkeypatch, rows, m, trials):
+    # One trial per block and every trial in one block draw the same stream
+    # and give the same estimate.
+    row_scale = np.linspace(0.3, 3.0, rows)
+    results = []
+    for entries in (1, 2**40):
+        monkeypatch.setattr(qmimo, "_BLOCK_ENTRIES", entries)
+        rng = derive_rng(8)
+        results.append((ergodic_logdet(row_scale, m, trials, rng), rng.bit_generator.state))
+    (single, single_state), (whole, whole_state) = results
+    assert single == pytest.approx(whole, rel=1e-13, abs=0.0)
+    assert single_state == whole_state
+
+
+def test_logdet_memory_independent_of_trials():
+    # Phases live one block at a time; only the (trials, m, m) Gram stack
+    # (1.6 MB here) scales with the trial count.
+    tracemalloc.start()
+    try:
+        ergodic_logdet(np.ones(1024), 32, 100, derive_rng(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_logdet_refuses_ill_conditioned_tall_gram():
+    # Row scales spanning eight decades: S'S on the m side cannot resolve
+    # det(I + S'S), while the rows x rows side stays accurate.
+    row_scale = np.logspace(0.0, 8.0, 6)
+    with pytest.raises(FloatingPointError):
+        ergodic_logdet(row_scale, 4, 8, derive_rng(10))
+    for m in (6, 8):
+        mean, stderr = ergodic_logdet(row_scale, m, 8, derive_rng(10))
+        assert math.isfinite(mean) and math.isfinite(stderr)
 
 
 # ---------------------------------------------------------------------------
