@@ -21,6 +21,7 @@ from .harness import (
     PowerLawFit,
     ScalingSeries,
     SweepFailure,
+    SweepRow,
     fit_scaling,
     run_point,
     run_sweep,
@@ -158,14 +159,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if m_list is None:
-            result = run_point(params)
-            series = ScalingSeries(rows=[result.row()])
-            print(
-                f"point m={params.m}: n={result.n} n1={result.n1} "
-                f"R_sum={result.report.r_sum:.6g} R_upper={result.upper.value:.6g} "
-                f"({result.runtime_seconds:.2f}s)",
-                file=sys.stderr,
-            )
+            series = ScalingSeries(rows=[run_point(params).row()])
         else:
             try:
                 series = run_sweep(params, m_list, workers=workers)
@@ -173,13 +167,8 @@ def main(argv: list[str] | None = None) -> int:
                 _emit(exc.partial, settings.get("out"))
                 print(f"error: {exc}", file=sys.stderr)
                 return 3
-            for row in series.rows:
-                print(
-                    f"point m={row.m}: n={row.n} n1={row.n1} "
-                    f"R_sum={row.r_sum:.6g} R_upper={row.r_upper:.6g} "
-                    f"({row.runtime_seconds:.2f}s)",
-                    file=sys.stderr,
-                )
+        for row in series.rows:
+            _log_point(row)
 
         _emit(series, settings.get("out"))
 
@@ -205,6 +194,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
+
+
+def _log_point(row: SweepRow) -> None:
+    stages = "".join(f" {k}={v:.3f}s" for k, v in row.timings.items())
+    print(
+        f"point m={row.m}: n={row.n} n1={row.n1} "
+        f"R_sum={row.r_sum:.6g} R_upper={row.r_upper:.6g} "
+        f"({row.runtime_seconds:.2f}s){stages}",
+        file=sys.stderr,
+    )
 
 
 def _emit(series: ScalingSeries, out: object) -> None:

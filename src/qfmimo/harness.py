@@ -4,10 +4,10 @@ A sweep row is a pure function of (configuration, seed): per-point seeds are
 derived by hashing (master seed, m), destination substreams hang off the
 point seed, and the CSV serialization is fixed.  Two runs of the same config
 therefore produce byte-identical CSV files regardless of worker count.  Wall
-clock per point is measured and kept on the in-memory result (and logged by
-the CLI), but the CSV runtime_s column always carries the placeholder 0.0 --
-the one field a real clock would otherwise leak into the reproducible
-artifact.
+clock per point, and per stage (placement, rate, bound), is measured and
+kept on the in-memory result (and logged by the CLI), but the CSV runtime_s
+column always carries the placeholder 0.0 -- the one field a real clock
+would otherwise leak into the reproducible artifact.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import IO, Iterable
 
@@ -60,7 +60,7 @@ class SweepFailure(NumericalError):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One CSV row of a sweep; runtime_seconds is measured, not serialized."""
+    """One CSV row of a sweep; runtime_seconds and timings are not serialized."""
 
     m: int
     n: int
@@ -74,6 +74,7 @@ class SweepRow:
     c_link_min: float
     runtime_seconds: float
     seed: int
+    timings: dict[str, float] = field(default_factory=dict, compare=False)
 
     def to_csv(self) -> str:
         # repr() of a float is its shortest round-trip form, so rows are
@@ -98,7 +99,11 @@ class SweepRow:
 
 @dataclass
 class PointResult:
-    """Full outcome of one (params, seed) evaluation."""
+    """Full outcome of one (params, seed) evaluation.
+
+    timings holds wall seconds per stage: "place" (placement and grouping),
+    "rate" (sum-rate estimate) and "bound" (cut-set upper bound).
+    """
 
     params: NetworkParams
     report: RateReport
@@ -107,6 +112,7 @@ class PointResult:
     n1: int
     n2_mean: float
     runtime_seconds: float
+    timings: dict[str, float]
 
     def row(self) -> SweepRow:
         return SweepRow(
@@ -122,6 +128,7 @@ class PointResult:
             c_link_min=self.report.c_link_min,
             runtime_seconds=self.runtime_seconds,
             seed=self.params.seed,
+            timings=self.timings,
         )
 
 
@@ -158,6 +165,7 @@ def run_point(params: NetworkParams) -> PointResult:
     """
     t0 = perf_counter()
     realization = place_nodes(params, derive_rng(params.seed, 0))
+    t_place = perf_counter()
     if params.exclusion_radius == 0.0:
         guard = realization.n ** -(1.0 + MIN_DISTANCE_SLACK)
         if min_source_distance(realization) <= guard:
@@ -170,7 +178,9 @@ def run_point(params: NetworkParams) -> PointResult:
     report = sum_rate(
         realization, model, params, derive_rng(params.seed, 1), params.sample_size
     )
+    t_rate = perf_counter()
     upper = cutset_upper_bound(realization, params)
+    t_bound = perf_counter()
     outputs = {
         "R_sum": report.r_sum,
         "R_sum_stderr": report.r_sum_stderr,
@@ -190,6 +200,7 @@ def run_point(params: NetworkParams) -> PointResult:
         n1=realization.n1,
         n2_mean=realization.n2_mean,
         runtime_seconds=perf_counter() - t0,
+        timings={"place": t_place - t0, "rate": t_rate - t_place, "bound": t_bound - t_rate},
     )
 
 

@@ -2,10 +2,11 @@
 
 A run places one multi-antenna source at the center and n = round(m**beta)
 single-antenna destinations uniformly at random, partitions the square into
-a grid of equal cells, and groups destinations by cell with one stable sort
-on (cell, distance to the source).  Group members are therefore kept sorted
-by source distance; the farthest member of a group sets the reference path
-loss used by the rate modules.
+a grid of equal cells, and groups destinations by cell: a sort by distance
+to the source (equal distances in index order), then a stable radix sort by
+group id.  Group members are therefore kept sorted by source distance; the
+farthest member of a group sets the reference path loss used by the rate
+modules.
 """
 
 from __future__ import annotations
@@ -163,20 +164,36 @@ def realization_from_positions(
     g = int(grid_side)
     if n < 1 or g < 1:
         raise ValueError("need at least one destination and one cell")
+    # min/max propagate NaN, so this also rejects non-finite coordinates.
+    if not (dest_pos.min() >= 0.0 and dest_pos.max() <= 1.0):
+        raise ValueError("destination coordinates must be finite and lie in [0, 1]")
 
-    source_dist = np.linalg.norm(dest_pos - src, axis=1)
+    source_dist = _source_dist(dest_pos, src)
     # Points exactly on the upper/right boundary fold into the last cell.
     cell_id = np.minimum((dest_pos[:, 1] * g).astype(int), g - 1)
     cell_id *= g
     cell_id += np.minimum((dest_pos[:, 0] * g).astype(int), g - 1)
     counts = np.bincount(cell_id, minlength=g * g)
-    group_of = (np.cumsum(counts > 0) - 1)[cell_id]
+    occupied = np.flatnonzero(counts)
+    # The narrowest unsigned group id keeps group_of small and lets the
+    # group sort below run as a radix sort (numpy does so up to 16 bits).
+    group_id = np.zeros(g * g, dtype=np.min_scalar_type(occupied.size - 1))
+    group_id[occupied] = np.arange(occupied.size)
+    group_of = group_id[cell_id]
     del cell_id  # keeps peak memory down at large n
 
-    # One stable sort orders destinations by group, then by source distance;
-    # distance ties keep index order.
-    order = np.lexsort((source_dist, group_of))
-    occupied = np.flatnonzero(counts)
+    # Sort by source distance with the fast unstable sort, then put each run
+    # of equal distances back in index order, as a stable sort would leave
+    # it; a stable radix sort by group id then gives the (group, distance,
+    # index) order.
+    order = np.argsort(source_dist)
+    sorted_dist = source_dist[order]
+    same = sorted_dist[1:] == sorted_dist[:-1]
+    del sorted_dist
+    tied = np.flatnonzero(np.concatenate(([False], same)) | np.concatenate((same, [False])))
+    runs = order[tied]
+    order[tied] = runs[np.lexsort((runs, source_dist[runs]))]
+    order = order[np.argsort(group_of[order], kind="stable")]
     sizes = counts[occupied]
     starts = np.cumsum(sizes) - sizes
     rank_of = np.empty(n, dtype=int)
@@ -207,12 +224,28 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
     pos = rng.random((n, 2))
     r = params.exclusion_radius
     if r > 0.0:
+        # Only redrawn points can land inside again, so each pass rechecks
+        # just those; ascending indices draw in the same order as a mask.
         src = np.asarray(SOURCE_POS)
-        inside = np.linalg.norm(pos - src, axis=1) <= r
-        while inside.any():
-            pos[inside] = rng.random((int(inside.sum()), 2))
-            inside = np.linalg.norm(pos - src, axis=1) <= r
+        redo = np.flatnonzero(_source_dist(pos, src) <= r)
+        while redo.size:
+            pos[redo] = rng.random((redo.size, 2))
+            redo = redo[_source_dist(pos[redo], src) <= r]
     return realization_from_positions(pos, partition_cells(n, params.q))
+
+
+def _source_dist(pos: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Row distances to src, bitwise equal to norm(pos - src, axis=1).
+
+    Works one column at a time in place, so the only temporary besides the
+    result is one column of squares.
+    """
+    dist = pos[:, 0] - src[0]
+    dist *= dist
+    dy = pos[:, 1] - src[1]
+    dy *= dy
+    dist += dy
+    return np.sqrt(dist, out=dist)
 
 
 def cell_occupancy_stats(realization: NetworkRealization) -> tuple[int, int, float]:

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -371,3 +372,22 @@ def test_cli_sweep_with_fit(tmp_path, capsys):
     assert rc == 0
     assert "fit power_law" in capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_cli_logs_stage_timings_outside_csv(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["--sweep", "2,3", "--beta", "2", "--seed", "5", "--out", str(out),
+            "--trials", "8", "--sample-size", "2"]
+    assert main(argv) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("point m=")]
+    assert len(lines) == 2
+    for line in lines:
+        stages = dict(tok.split("=") for tok in line.split(") ")[1].split())
+        assert list(stages) == ["place", "rate", "bound"]
+        assert all(float(v.rstrip("s")) >= 0.0 for v in stages.values())
+    # The CSV is the same bytes as rows that never carried timings.
+    series = run_sweep(NetworkParams(beta=2.0, seed=5, trials=8, sample_size=2), [2, 3])
+    assert all(set(row.timings) == {"place", "rate", "bound"} for row in series.rows)
+    bare = io.StringIO()
+    write_csv(ScalingSeries(rows=[replace(row, timings={}) for row in series.rows]), bare)
+    assert out.read_bytes() == bare.getvalue().encode()

@@ -211,3 +211,64 @@ def test_occupancy_concentration_smoke():
         lo, hi, _ = cell_occupancy_stats(r)
         hits += lo >= 50 and hi <= 150
     assert hits == 10
+
+
+@pytest.mark.parametrize(
+    "pos",
+    [[(0.2, -0.1)], [(1.7, 0.5)], [(0.3, 0.3), (float("nan"), 0.5)]],
+    ids=["below", "right", "nan"],
+)
+def test_positions_outside_unit_square_rejected(pos):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        realization_from_positions(np.array(pos), grid_side=2)
+
+
+def _full_recheck_placement(params, rng):
+    """Reference rejection loop: recheck every destination on each pass."""
+    pos = rng.random((params.n, 2))
+    r = params.exclusion_radius
+    if r > 0.0:
+        src = np.array([0.5, 0.5])
+        inside = np.linalg.norm(pos - src, axis=1) <= r
+        while inside.any():
+            pos[inside] = rng.random((int(inside.sum()), 2))
+            inside = np.linalg.norm(pos - src, axis=1) <= r
+    return pos
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.1, 0.6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rejection_loop_matches_full_recheck(seed, radius):
+    # r = 0.6 covers most of the square, so the loop runs many passes.
+    p = NetworkParams(m=10, beta=3.0, exclusion_radius=radius, seed=seed)
+    rng_ref, rng = derive_rng(seed, 0), derive_rng(seed, 0)
+    ref = _full_recheck_placement(p, rng_ref)
+    r = place_nodes(p, rng)
+    assert np.array_equal(r.dest_pos, ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("side", [20, 300])
+def test_group_ids_wide_enough_and_exact_distances(side):
+    # One point per cell: 400 groups overflow uint8, 90,000 overflow uint16.
+    centers = (np.arange(side) + 0.5) / side
+    pos = np.stack(np.meshgrid(centers, centers), axis=-1).reshape(-1, 2)
+    r = realization_from_positions(pos, grid_side=side)
+    n = side * side
+    assert r.n1 == n
+    assert r.group_of.max() == r.n1 - 1
+    assert np.all(r.rank_of == 0)
+    assert np.array_equal(np.sort(np.concatenate(r.group_members)), np.arange(n))
+    assert np.array_equal(r.source_dist, np.linalg.norm(pos - r.source_pos, axis=1))
+
+
+def test_distance_ties_keep_index_order_at_scale():
+    # Lattice points give long runs of equal distances; at this size the
+    # unstable distance sort scrambles them, so index order must be restored.
+    rng = np.random.default_rng(5)
+    pos = rng.integers(0, 13, size=(40_000, 2)) / 12
+    r = realization_from_positions(pos, grid_side=3)
+    order = np.lexsort((r.source_dist, r.group_of))
+    assert np.array_equal(np.concatenate(r.group_members), order)
+    ranks = np.concatenate([np.arange(len(mem)) for mem in r.group_members])
+    assert np.array_equal(r.rank_of[order], ranks)
