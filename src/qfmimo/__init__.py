@@ -11,7 +11,6 @@ the antenna count to measure scaling behavior.
 """
 
 from .bounds import (
-    RegimeOracle,
     UpperBoundReport,
     cutset_upper_bound,
     lozano_regime_value,
@@ -34,11 +33,6 @@ from .harness import (
     write_csv,
 )
 from .linkrate import (
-    HIER,
-    TDMA_EXACT_SINR,
-    LinkCapacityModel,
-    SchedulingSet,
-    build_scheduling_sets,
     exact_sinr_capacity,
     hier_capacity,
     link_capacity,
@@ -58,7 +52,6 @@ from .netgeom import (
 from .qmimo import (
     NO_RELAY,
     DestinationRate,
-    QuantizerNoiseProfile,
     RateReport,
     achievable_rate,
     check_rate_constraints,
@@ -66,7 +59,6 @@ from .qmimo import (
     phase_matrix,
     quantization_noise,
     quantized_mimo_rate,
-    rate_lower_bound_iid,
     received_power,
     sum_rate,
 )
@@ -76,26 +68,19 @@ __all__ = [
     "CSV_HEADER",
     "ConfigError",
     "DestinationRate",
-    "HIER",
-    "LinkCapacityModel",
     "NO_RELAY",
     "NetworkParams",
     "NetworkRealization",
     "NumericalError",
     "PointResult",
     "PowerLawFit",
-    "QuantizerNoiseProfile",
     "RateReport",
     "RatioFit",
-    "RegimeOracle",
     "ScalingSeries",
-    "SchedulingSet",
     "SweepFailure",
     "SweepRow",
-    "TDMA_EXACT_SINR",
     "UpperBoundReport",
     "achievable_rate",
-    "build_scheduling_sets",
     "cell_occupancy_stats",
     "check_rate_constraints",
     "cutset_upper_bound",
@@ -115,7 +100,6 @@ __all__ = [
     "point_params",
     "quantization_noise",
     "quantized_mimo_rate",
-    "rate_lower_bound_iid",
     "realization_from_positions",
     "received_power",
     "riemann_zeta",

@@ -33,20 +33,6 @@ class UpperBoundReport:
     distance_sum: float  # sum_i ||r_0 - r_i||**(-alpha)
 
 
-@dataclass(frozen=True)
-class RegimeOracle:
-    """Closed-form per-receive-antenna capacity in one aspect-ratio regime."""
-
-    regime: str
-    p: float
-    value: float
-    a: float | None = None
-
-    @classmethod
-    def evaluate(cls, regime: str, p: float, a: float | None = None) -> "RegimeOracle":
-        return cls(regime=regime, p=p, a=a, value=lozano_regime_value(regime, p, a))
-
-
 def cutset_upper_bound(
     realization: NetworkRealization, params: NetworkParams
 ) -> UpperBoundReport:

@@ -23,7 +23,6 @@ from typing import IO, Iterable
 import numpy as np
 
 from .bounds import UpperBoundReport, cutset_upper_bound
-from .linkrate import LinkCapacityModel
 from .netgeom import (
     NetworkParams,
     min_source_distance,
@@ -174,10 +173,7 @@ def run_point(params: NetworkParams) -> PointResult:
                 "guard; near-source destinations will dominate the upper bound",
                 stacklevel=2,
             )
-    model = LinkCapacityModel.from_params(params)
-    report = sum_rate(
-        realization, model, params, derive_rng(params.seed, 1), params.sample_size
-    )
+    report = sum_rate(realization, params, derive_rng(params.seed, 1), params.sample_size)
     t_rate = perf_counter()
     upper = cutset_upper_bound(realization, params)
     t_bound = perf_counter()

@@ -1,14 +1,16 @@
-"""Relay-phase link capacities and scheduling.
+"""Relay-phase link capacities.
 
 Within a group of n2 destinations, every ordered pair must exchange one
-quantized observation.  The pairs are organized into n2 - 1 scheduling sets
-(perfect matchings of directed pairs); groups reuse the spectrum under a
+quantized observation.  The exchange takes n2 - 1 slots: while pair (i, j)
+is served, rank i of every co-active group transmits (a smaller group's last
+member stands in for missing ranks).  Groups reuse the spectrum under a
 4-cell activation pattern where one cell out of every 2x2 block is active at
 a time.  Link capacities are computed per receiver, for every transmitter
-rank at once, under one of two models:
+rank at once, under the relay discipline NetworkParams.mode selects:
 
-* exact-geometry SINR under the 4-cell reuse pattern (tdma mode),
-* the hierarchical-cooperation per-node rate guarantee c2 * n2**(-epsilon).
+* "tdma": exact-geometry SINR under the 4-cell reuse pattern,
+* "hier": the hierarchical-cooperation per-node rate guarantee
+  c2 * n2**(-epsilon).
 
 The pessimistic closed-form worst-case bound is kept as a diagnostic only
 (tdma_worst_case_capacity): it is negative for every admissible parameter
@@ -18,44 +20,14 @@ choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .netgeom import NetworkParams, NetworkRealization
 
-TDMA_EXACT_SINR = "tdma_exact_sinr"
-HIER = "hier"
-
-LINK_MODES = (TDMA_EXACT_SINR, HIER)
-
 # Partial-sum length for the zeta evaluation; with the Euler-Maclaurin tail
 # below this keeps the absolute error under 1e-9 for every s > 1.
 _ZETA_TERMS = 20_000
-
-
-@dataclass(frozen=True)
-class SchedulingSet:
-    """One slot of directed relay pairs: every member transmits and receives
-    exactly once."""
-
-    index: int
-    pairs: tuple[tuple[int, int], ...]
-
-
-def build_scheduling_sets(n2: int) -> tuple[SchedulingSet, ...]:
-    """Cyclic-shift construction of the n2 - 1 scheduling sets.
-
-    Set s pairs transmitter i with receiver (i + s) mod n2, so across all
-    sets every ordered pair of distinct members appears exactly once.
-    A single-member group relays nothing and yields an empty tuple.
-    """
-    if n2 < 1:
-        raise ValueError(f"n2 must be >= 1, got {n2}")
-    return tuple(
-        SchedulingSet(s, tuple((i, (i + s) % n2) for i in range(n2)))
-        for s in range(1, n2)
-    )
 
 
 def riemann_zeta(s: float) -> float:
@@ -120,7 +92,7 @@ def tdma4_active_groups(realization: NetworkRealization, k: int) -> list[int]:
 
 
 def _exact_sinr_capacities(
-    realization: NetworkRealization, k: int, j: int, params
+    realization: NetworkRealization, k: int, j: int, params: NetworkParams
 ) -> np.ndarray:
     """Exact-geometry capacities of every in-group link into rank j of group k.
 
@@ -135,8 +107,8 @@ def _exact_sinr_capacities(
     value.  The in-set TDMA share contributes the 1/n2 prefactor, and every
     entry is >= 0 by construction.  Entry i is the capacity of link i -> j
     for all ranks i at once; entry j, the receiver's own observation, is
-    infinite.  `params` only needs `p1` and `alpha` attributes; callers
-    check that j is a rank of group k.
+    infinite.  The SINR reads p1 and alpha from `params`; callers check
+    that j is a rank of group k.
     """
     members = realization.group_members[k]
     n2 = members.size
@@ -168,7 +140,7 @@ def _exact_sinr_capacities(
 
 
 def exact_sinr_capacity(
-    realization: NetworkRealization, k: int, pair: tuple[int, int], params
+    realization: NetworkRealization, k: int, pair: tuple[int, int], params: NetworkParams
 ) -> float:
     """Exact-geometry capacity of directed in-group link (rank i -> rank j).
 
@@ -179,50 +151,24 @@ def exact_sinr_capacity(
     i, j = pair
     if i == j or not (0 <= i < n2 and 0 <= j < n2):
         raise ValueError(
-            f"pair {pair} is not served by any scheduling set of a group of size {n2}"
+            f"pair {pair} is not a directed link of a group of size {n2}"
         )
     return float(_exact_sinr_capacities(realization, k, j, params)[i])
 
 
-@dataclass(frozen=True)
-class LinkCapacityModel:
-    """Selects and parameterizes the in-group link-capacity computation."""
-
-    mode: str
-    p1: float
-    alpha: float
-    epsilon: float = 0.05
-    c2: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in LINK_MODES:
-            raise ValueError(f"mode must be one of {LINK_MODES}, got {self.mode!r}")
-
-    @classmethod
-    def from_params(cls, params: NetworkParams) -> "LinkCapacityModel":
-        mode = TDMA_EXACT_SINR if params.mode == "tdma" else HIER
-        return cls(
-            mode=mode,
-            p1=params.p1,
-            alpha=params.alpha,
-            epsilon=params.epsilon,
-            c2=params.c2,
-        )
-
-
 def link_capacity(
-    model: LinkCapacityModel, realization: NetworkRealization, k: int, j: int
+    realization: NetworkRealization, k: int, j: int, params: NetworkParams
 ) -> np.ndarray:
     """Capacities of every in-group link into receiver rank j of group k.
 
-    Entry i is the capacity of link i -> j under `model`; entry j, the
+    Entry i is the capacity of link i -> j under params.mode; entry j, the
     receiver's own observation, is infinite.
     """
     n2 = realization.n2_of(k)
     if not 0 <= j < n2:
         raise ValueError(f"rank {j} not in group {k} of size {n2}")
-    if model.mode == HIER:
-        caps = np.full(n2, hier_capacity(n2, model.epsilon, model.c2))
+    if params.mode == "hier":
+        caps = np.full(n2, hier_capacity(n2, params.epsilon, params.c2))
         caps[j] = math.inf
         return caps
-    return _exact_sinr_capacities(realization, k, j, model)
+    return _exact_sinr_capacities(realization, k, j, params)

@@ -167,8 +167,14 @@ def realization_from_positions(
     # min/max propagate NaN, so this also rejects non-finite coordinates.
     if not (dest_pos.min() >= 0.0 and dest_pos.max() <= 1.0):
         raise ValueError("destination coordinates must be finite and lie in [0, 1]")
+    return _group(dest_pos, g, src, _source_dist(dest_pos, src))
 
-    source_dist = _source_dist(dest_pos, src)
+
+def _group(
+    dest_pos: np.ndarray, g: int, src: np.ndarray, source_dist: np.ndarray
+) -> NetworkRealization:
+    """Grid/group bookkeeping for checked positions and their source distances."""
+    n = dest_pos.shape[0]
     # Points exactly on the upper/right boundary fold into the last cell.
     cell_id = np.minimum((dest_pos[:, 1] * g).astype(int), g - 1)
     cell_id *= g
@@ -196,9 +202,15 @@ def realization_from_positions(
     order = order[np.argsort(group_of[order], kind="stable")]
     sizes = counts[occupied]
     starts = np.cumsum(sizes) - sizes
-    rank_of = np.empty(n, dtype=int)
-    rank_of[order] = np.arange(n)
-    rank_of -= starts[group_of]
+    # Ranks in group order are a running count that restarts at each group
+    # start, kept in the narrowest unsigned type.  The restart steps wrap
+    # around, which is exact since every partial sum is a rank.
+    rank_dtype = np.min_scalar_type(sizes.max() - 1)
+    step = np.ones(n, dtype=rank_dtype)
+    step[0] = 0
+    step[starts[1:]] = (1 - sizes[:-1]).astype(rank_dtype)
+    rank_of = np.empty(n, dtype=rank_dtype)
+    rank_of[order] = np.cumsum(step, dtype=rank_dtype, out=step)
 
     return NetworkRealization(
         source_pos=src,
@@ -222,16 +234,20 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
     """
     n = params.n
     pos = rng.random((n, 2))
+    src = np.asarray(SOURCE_POS, dtype=float)
+    dist = _source_dist(pos, src)
     r = params.exclusion_radius
     if r > 0.0:
         # Only redrawn points can land inside again, so each pass rechecks
         # just those; ascending indices draw in the same order as a mask.
-        src = np.asarray(SOURCE_POS)
-        redo = np.flatnonzero(_source_dist(pos, src) <= r)
+        redo = np.flatnonzero(dist <= r)
         while redo.size:
             pos[redo] = rng.random((redo.size, 2))
-            redo = redo[_source_dist(pos[redo], src) <= r]
-    return realization_from_positions(pos, partition_cells(n, params.q))
+            redo_dist = _source_dist(pos[redo], src)
+            dist[redo] = redo_dist
+            redo = redo[redo_dist <= r]
+    # Uniform draws lie in [0, 1), so the coordinate check is not needed.
+    return _group(pos, partition_cells(n, params.q), src, dist)
 
 
 def _source_dist(pos: np.ndarray, src: np.ndarray) -> np.ndarray:

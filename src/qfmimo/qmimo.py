@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linkrate import LinkCapacityModel, link_capacity
+from .linkrate import link_capacity
 from .netgeom import NetworkParams, NetworkRealization
 
 # Distinguished quantization-noise value for a relay whose link is useless.
@@ -186,47 +186,23 @@ def quantized_mimo_rate(
     return share * mean, share * stderr, mean
 
 
-@dataclass
-class QuantizerNoiseProfile:
-    """Per-relay quantization-noise variances for one target destination.
-
-    noises[i] is the variance relay i adds on its forwarded observation
-    (NO_RELAY when the link is unusable, exactly 0 for the target's own
-    unquantized observation); link_capacities[i] is the capacity that
-    produced it (infinite for the self-link).
-    """
-
-    group: int
-    target_rank: int
-    link_capacities: np.ndarray
-    noises: np.ndarray
-    received_powers: np.ndarray
-
-    @property
-    def n2(self) -> int:
-        return int(self.noises.size)
-
-
 def noise_profile(
-    realization: NetworkRealization,
-    k: int,
-    j: int,
-    link_model: LinkCapacityModel,
-    params: NetworkParams,
-) -> QuantizerNoiseProfile:
-    """Link capacities and quantization noises seen by destination (k, j)."""
+    realization: NetworkRealization, k: int, j: int, params: NetworkParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Link capacities, quantization noises and received powers at (k, j).
+
+    Entry i of each array belongs to relay rank i of group k.  noises[i] is
+    the variance relay i adds on its forwarded observation (NO_RELAY when
+    the link is unusable, exactly 0 for the target's own unquantized
+    observation); caps[i] is the capacity that produced it (infinite for the
+    self link).
+    """
     n2 = realization.n2_of(k)
     powers = received_power(realization, k, np.arange(n2), params.p0, params.alpha)
-    caps = link_capacity(link_model, realization, k, j)
+    caps = link_capacity(realization, k, j, params)
     noises = quantization_noise(powers, caps, params.delta, realization.n, n2)
     noises[j] = 0.0  # the target's own observation is not quantized
-    return QuantizerNoiseProfile(
-        group=k,
-        target_rank=j,
-        link_capacities=caps,
-        noises=noises,
-        received_powers=powers,
-    )
+    return caps, noises, powers
 
 
 @dataclass
@@ -249,26 +225,24 @@ def achievable_rate(
     realization: NetworkRealization,
     k: int,
     j: int,
-    link_model: LinkCapacityModel,
     params: NetworkParams,
     rng: np.random.Generator,
 ) -> DestinationRate:
     """Quantize-and-forward rate of destination rank j in group k.
 
-    Link capacities follow the configured model; the destination's own
-    observation enters with zero quantization noise (an infinite-capacity
-    self-link).  Alongside the Monte Carlo rate the per-relay quantizer rates
-    and mutual-information bounds are recorded so a report can be audited
-    against the rate-constraint system (see check_rate_constraints).
+    Link capacities follow params.mode; the destination's own observation
+    enters with zero quantization noise (an infinite-capacity self-link).
+    Alongside the Monte Carlo rate the per-relay quantizer rates and
+    mutual-information bounds are recorded so a report can be audited against
+    the rate-constraint system (see check_rate_constraints).
     """
-    profile = noise_profile(realization, k, j, link_model, params)
+    caps, noises, powers = noise_profile(realization, k, j, params)
     n = realization.n
-    n2 = profile.n2
-    caps, noises = profile.link_capacities, profile.noises
+    n2 = noises.size
 
     usable = np.isfinite(noises)
     with np.errstate(divide="ignore"):
-        fidelity = np.log2(1.0 + profile.received_powers / noises)
+        fidelity = np.log2(1.0 + powers / noises)
     # An unused relay forwards nothing.  Where the noise underflowed to zero
     # (the self link included) the fidelity bound coincides with the link
     # budget exponent, infinite for the self link.
@@ -296,30 +270,6 @@ def achievable_rate(
         quantizer_rates=quantizer_rates,
         mi_quantize=mi_quantize,
     )
-
-
-def rate_lower_bound_iid(
-    n2: int,
-    m: int,
-    p0: float,
-    n_q_max: float,
-    delta: float,
-    n: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """I.i.d. surrogate that lower-bounds the decode rate.
-
-    Replaces the path-loss diagonal by the identity and every quantization
-    noise by the common worst case n_q_max:
-    (delta/n) E[log2 det(I + p0 / (m (1 + n_q_max)) Th Th')].
-    """
-    if n_q_max < 0:
-        raise ValueError(f"n_q_max must be >= 0, got {n_q_max}")
-    rate, _, _ = quantized_mimo_rate(
-        np.ones(n2), np.full(n2, float(n_q_max)), p0, m, delta, n, trials, rng
-    )
-    return rate
 
 
 def check_rate_constraints(
@@ -391,7 +341,6 @@ class RateReport:
 
 def sum_rate(
     realization: NetworkRealization,
-    link_model: LinkCapacityModel,
     params: NetworkParams,
     rng: np.random.Generator,
     sample_size: int,
@@ -417,9 +366,7 @@ def sum_rate(
         k = int(realization.group_of[dest])
         j = int(realization.rank_of[dest])
         destinations.append(
-            achievable_rate(
-                realization, k, j, link_model, params, np.random.default_rng(int(seed))
-            )
+            achievable_rate(realization, k, j, params, np.random.default_rng(int(seed)))
         )
 
     worst = min(destinations, key=lambda dr: dr.rate)

@@ -5,7 +5,6 @@ import pytest
 
 from qfmimo import (
     NetworkParams,
-    RegimeOracle,
     cutset_upper_bound,
     derive_rng,
     lozano_regime_value,
@@ -91,10 +90,3 @@ def test_regime_errors():
         lozano_regime_value("a_to_0", 1.0)  # needs an explicit a
     with pytest.raises(ValueError):
         lozano_regime_value("a_to_1", 0.0)
-
-
-def test_regime_oracle_dataclass():
-    oracle = RegimeOracle.evaluate("a_to_inf", 3.0)
-    assert oracle.value == pytest.approx(2.0)
-    assert oracle.regime == "a_to_inf"
-    assert oracle.value > 0

@@ -2,15 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qfmimo import (
-    HIER,
-    TDMA_EXACT_SINR,
-    LinkCapacityModel,
     NetworkParams,
-    build_scheduling_sets,
     exact_sinr_capacity,
     hier_capacity,
     link_capacity,
@@ -25,47 +19,6 @@ from qfmimo import (
 # Apery's constant, frozen from the literature; the in-test oracle for any
 # expression involving zeta(3).
 ZETA_3 = 1.2020569031595943
-
-
-# ---------------------------------------------------------------------------
-# scheduling sets
-# ---------------------------------------------------------------------------
-
-
-def test_scheduling_sets_three_members():
-    sets = build_scheduling_sets(3)
-    assert [s.pairs for s in sets] == [
-        ((0, 1), (1, 2), (2, 0)),
-        ((0, 2), (1, 0), (2, 1)),
-    ]
-
-
-def test_scheduling_sets_two_members():
-    sets = build_scheduling_sets(2)
-    assert len(sets) == 1
-    assert sets[0].pairs == ((0, 1), (1, 0))
-
-
-def test_single_member_relays_nothing():
-    assert build_scheduling_sets(1) == ()
-    with pytest.raises(ValueError):
-        build_scheduling_sets(0)
-
-
-@given(n2=st.integers(2, 64))
-@settings(max_examples=63)
-def test_scheduling_sets_cover_all_pairs_once(n2):
-    sets = build_scheduling_sets(n2)
-    assert len(sets) == n2 - 1
-    all_pairs = []
-    for s in sets:
-        txs = [i for i, _ in s.pairs]
-        rxs = [j for _, j in s.pairs]
-        assert sorted(txs) == list(range(n2))
-        assert sorted(rxs) == list(range(n2))
-        all_pairs.extend(s.pairs)
-    assert len(set(all_pairs)) == n2 * (n2 - 1)
-    assert all(i != j for i, j in all_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -249,28 +202,20 @@ def test_tdma4_no_two_active_groups_share_a_block():
 # ---------------------------------------------------------------------------
 
 
-def test_model_from_params_maps_modes():
-    assert LinkCapacityModel.from_params(NetworkParams(mode="tdma")).mode == TDMA_EXACT_SINR
-    assert LinkCapacityModel.from_params(NetworkParams(mode="hier")).mode == HIER
-    with pytest.raises(ValueError):
-        LinkCapacityModel(mode="bogus", p1=1.0, alpha=4.0)
-
-
 def test_link_capacity_dispatch():
-    hier = LinkCapacityModel(mode=HIER, p1=1.0, alpha=4.0, epsilon=0.1, c2=2.0)
-    caps = link_capacity(hier, LONE_GROUP, 0, 1)
+    hier = NetworkParams(mode="hier", p1=1.0, alpha=4.0, epsilon=0.1, c2=2.0)
+    caps = link_capacity(LONE_GROUP, 0, 1, hier)
     np.testing.assert_allclose(np.delete(caps, 1), 2.0 * 4**-0.1, rtol=1e-12)
     assert caps[1] == math.inf
 
-    exact = LinkCapacityModel(mode=TDMA_EXACT_SINR, p1=1.0, alpha=4.0)
-    caps = link_capacity(exact, LONE_GROUP, 0, 1)
+    caps = link_capacity(LONE_GROUP, 0, 1, EXACT_PARAMS)
     assert caps.shape == (4,)
     assert caps[1] == math.inf
     assert caps[0] == pytest.approx(
         exact_sinr_capacity(LONE_GROUP, 0, (0, 1), EXACT_PARAMS)
     )
     with pytest.raises(ValueError):
-        link_capacity(hier, LONE_GROUP, 0, 4)
+        link_capacity(LONE_GROUP, 0, 4, hier)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +242,11 @@ def _reference_pair_capacity(realization, k, pair, params):
 
 
 def _assert_kernel_matches_reference(realization, params):
-    model = LinkCapacityModel.from_params(params)
     checked = 0
     for k in range(realization.n1):
         n2 = realization.n2_of(k)
         for j in range(n2):
-            caps = link_capacity(model, realization, k, j)
+            caps = link_capacity(realization, k, j, params)
             assert caps[j] == math.inf
             for i in range(n2):
                 if i == j:

@@ -246,6 +246,8 @@ def test_rejection_loop_matches_full_recheck(seed, radius):
     r = place_nodes(p, rng)
     assert np.array_equal(r.dest_pos, ref)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+    # Distances kept through the redraws equal a fresh computation.
+    assert np.array_equal(r.source_dist, np.linalg.norm(ref - r.source_pos, axis=1))
 
 
 @pytest.mark.parametrize("side", [20, 300])
@@ -260,6 +262,23 @@ def test_group_ids_wide_enough_and_exact_distances(side):
     assert np.all(r.rank_of == 0)
     assert np.array_equal(np.sort(np.concatenate(r.group_members)), np.arange(n))
     assert np.array_equal(r.source_dist, np.linalg.norm(pos - r.source_pos, axis=1))
+
+
+@pytest.mark.parametrize("size, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_rank_of_uses_narrowest_unsigned_type(size, dtype):
+    # The first group's largest rank just fits (or just misses) uint8, so
+    # the rank count must wrap around exactly where the next group starts.
+    rng = np.random.default_rng(9)
+    pos = np.concatenate([
+        rng.random((size, 2)) * 0.4,
+        rng.random((5, 2)) * 0.4 + 0.55,
+        rng.random((2, 2)) * 0.4 + [0.55, 0.0],
+    ])
+    r = realization_from_positions(pos, grid_side=2)
+    assert r.n1 == 3
+    assert r.rank_of.dtype == dtype
+    for members in r.group_members:
+        assert np.array_equal(r.rank_of[members], np.arange(members.size))
 
 
 def test_distance_ties_keep_index_order_at_scale():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qfmimo import (
     NO_RELAY,
-    LinkCapacityModel,
     NetworkParams,
     achievable_rate,
     check_rate_constraints,
@@ -19,7 +18,6 @@ from qfmimo import (
     place_nodes,
     quantization_noise,
     quantized_mimo_rate,
-    rate_lower_bound_iid,
     realization_from_positions,
     received_power,
     sum_rate,
@@ -110,15 +108,15 @@ def test_noise_profile_shape_and_self_link():
     r = place_nodes(p, derive_rng(p.seed, 0))
     k = int(np.argmax([r.n2_of(g) for g in range(r.n1)]))
     j = r.n2_of(k) - 1
-    profile = noise_profile(r, k, j, LinkCapacityModel.from_params(p), p)
-    assert profile.n2 == r.n2_of(k)
-    assert profile.noises[j] == 0.0
-    assert profile.link_capacities[j] == math.inf
-    others = np.delete(profile.noises, j)
+    caps, noises, powers = noise_profile(r, k, j, p)
+    assert caps.shape == noises.shape == powers.shape == (r.n2_of(k),)
+    assert noises[j] == 0.0
+    assert caps[j] == math.inf
+    others = np.delete(noises, j)
     assert np.all(others > 0.0)  # p1 > 0 makes every relay link usable
-    assert np.all(profile.received_powers >= 1.0)
+    assert np.all(powers >= 1.0)
     # farthest member receives exactly p0 + 1
-    assert profile.received_powers[-1] == pytest.approx(p.p0 + 1.0)
+    assert powers[-1] == pytest.approx(p.p0 + 1.0)
 
 
 @given(
@@ -243,19 +241,28 @@ def test_logdet_refuses_ill_conditioned_tall_gram():
 def test_single_destination_rate_exact():
     r = realization_from_positions(np.array([[0.5, 0.9]]), grid_side=1)
     p = NetworkParams(m=1, beta=1.0, p0=1.0, trials=16)
-    dr = achievable_rate(r, 0, 0, LinkCapacityModel.from_params(p), p, derive_rng(0))
+    dr = achievable_rate(r, 0, 0, p, derive_rng(0))
     assert dr.rate == pytest.approx(0.5 * math.log2(1.0 + p.p0))
     assert dr.noises[0] == 0.0
     assert dr.link_capacities[0] == math.inf
 
 
+def _iid_surrogate(n2, m, p0, n_q_max, delta, n, trials, rng):
+    """I.i.d. lower bound on the decode rate: unit gains and every
+    quantization noise at the common worst case n_q_max."""
+    rate, _, _ = quantized_mimo_rate(
+        np.ones(n2), np.full(n2, float(n_q_max)), p0, m, delta, n, trials, rng
+    )
+    return rate
+
+
 def test_iid_surrogate_single_antenna_exact():
-    v = rate_lower_bound_iid(1, 1, 2.0, 1.0, 0.5, 4, 16, derive_rng(1))
+    v = _iid_surrogate(1, 1, 2.0, 1.0, 0.5, 4, 16, derive_rng(1))
     assert v == pytest.approx((0.5 / 4) * math.log2(1.0 + 2.0 / 2.0))
 
 
 def test_iid_surrogate_with_zero_noise_is_unquantized():
-    a = rate_lower_bound_iid(3, 2, 1.0, 0.0, 0.5, 9, 32, derive_rng(2))
+    a = _iid_surrogate(3, 2, 1.0, 0.0, 0.5, 9, 32, derive_rng(2))
     b, _, _ = quantized_mimo_rate(np.ones(3), np.zeros(3), 1.0, 2, 0.5, 9, 32, derive_rng(2))
     assert a == b
 
@@ -263,7 +270,7 @@ def test_iid_surrogate_with_zero_noise_is_unquantized():
 def test_iid_surrogate_square_matrix_matches_regime_oracle():
     # Per-antenna value at 64x64 against the square-array closed form.
     n2 = m = 64
-    rate = rate_lower_bound_iid(n2, m, 1.0, 0.0, 0.5, 1000, 200, derive_rng(3))
+    rate = _iid_surrogate(n2, m, 1.0, 0.0, 0.5, 1000, 200, derive_rng(3))
     per_antenna = rate * 1000 / (0.5 * n2)
     oracle = lozano_regime_value("a_to_1", 1.0)
     assert abs(per_antenna - oracle) / oracle < 0.03
@@ -272,14 +279,13 @@ def test_iid_surrogate_square_matrix_matches_regime_oracle():
 def test_bound_chain_surrogate_below_estimate():
     p = NetworkParams(m=6, beta=2.0, seed=3, trials=300)
     r = place_nodes(p, derive_rng(p.seed, 0))
-    model = LinkCapacityModel.from_params(p)
     for dest in range(0, r.n, 7):
         k = int(r.group_of[dest])
         j = int(r.rank_of[dest])
-        dr = achievable_rate(r, k, j, model, p, derive_rng(p.seed, 5, dest))
+        dr = achievable_rate(r, k, j, p, derive_rng(p.seed, 5, dest))
         finite = dr.noises[np.isfinite(dr.noises)]
         n_q_max = float(finite.max()) if finite.size else 0.0
-        surrogate = rate_lower_bound_iid(
+        surrogate = _iid_surrogate(
             dr.noises.size, p.m, p.p0, n_q_max, p.delta, r.n, 300,
             derive_rng(p.seed, 6, dest),
         )
@@ -290,7 +296,7 @@ def test_achievable_rate_rejects_bad_rank():
     p = NetworkParams(m=2, beta=1.0)
     r = realization_from_positions(np.array([[0.2, 0.2], [0.3, 0.3]]), grid_side=1)
     with pytest.raises(ValueError):
-        achievable_rate(r, 0, 2, LinkCapacityModel.from_params(p), p, derive_rng(0))
+        achievable_rate(r, 0, 2, p, derive_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +374,7 @@ def test_constraints_reject_mismatched_lengths():
 def test_pipeline_output_satisfies_constraints():
     p = NetworkParams(m=4, beta=2.0, seed=6, trials=32, sample_size=8)
     r = place_nodes(p, derive_rng(p.seed, 0))
-    report = sum_rate(r, LinkCapacityModel.from_params(p), p, derive_rng(p.seed, 1), 8)
+    report = sum_rate(r, p, derive_rng(p.seed, 1), 8)
     for dr in report.destinations:
         assert check_rate_constraints(
             dr.rate,
@@ -390,7 +396,7 @@ def test_pipeline_output_satisfies_constraints():
 def test_sum_rate_single_destination():
     r = realization_from_positions(np.array([[0.5, 0.9]]), grid_side=1)
     p = NetworkParams(m=1, beta=1.0, trials=16)
-    report = sum_rate(r, LinkCapacityModel.from_params(p), p, derive_rng(1), 5)
+    report = sum_rate(r, p, derive_rng(1), 5)
     assert report.sample_size == 1
     assert report.r_sum == report.destinations[0].rate
     assert report.r_ind == report.destinations[0].rate
@@ -399,7 +405,7 @@ def test_sum_rate_single_destination():
 def test_sum_rate_full_sample_takes_exact_minimum():
     p = NetworkParams(m=3, beta=2.0, seed=8, trials=16)
     r = place_nodes(p, derive_rng(p.seed, 0))
-    report = sum_rate(r, LinkCapacityModel.from_params(p), p, derive_rng(2), 50)
+    report = sum_rate(r, p, derive_rng(2), 50)
     assert report.sample_size == r.n
     assert report.r_ind == min(dr.rate for dr in report.destinations)
     assert report.r_sum == r.n * report.r_ind
@@ -408,9 +414,8 @@ def test_sum_rate_full_sample_takes_exact_minimum():
 def test_sum_rate_subsample_is_deterministic():
     p = NetworkParams(m=4, beta=2.0, seed=9, trials=16)
     r = place_nodes(p, derive_rng(p.seed, 0))
-    model = LinkCapacityModel.from_params(p)
-    a = sum_rate(r, model, p, derive_rng(3), 4)
-    b = sum_rate(r, model, p, derive_rng(3), 4)
+    a = sum_rate(r, p, derive_rng(3), 4)
+    b = sum_rate(r, p, derive_rng(3), 4)
     assert a.r_sum == b.r_sum
     assert a.sample_size == 4
     assert [d.dest_index for d in a.destinations] == [d.dest_index for d in b.destinations]
@@ -420,4 +425,4 @@ def test_sum_rate_rejects_empty_sample():
     r = realization_from_positions(np.array([[0.5, 0.9]]), grid_side=1)
     p = NetworkParams(m=1, beta=1.0)
     with pytest.raises(ValueError):
-        sum_rate(r, LinkCapacityModel.from_params(p), p, derive_rng(0), 0)
+        sum_rate(r, p, derive_rng(0), 0)

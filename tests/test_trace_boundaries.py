@@ -1,0 +1,32 @@
+"""The benchmark's layer spans stay reachable from the CLI.
+
+perfbench/tracer.py times each layer by wrapping a public function where its
+caller looks it up.  A refactor that calls a layer some other way leaves that
+span empty and the traced benchmark incorrect; this test catches it without
+running the benchmark.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from qfmimo.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from tracer import CLI_SPAN, SPAN_NAMES, Tracer  # noqa: E402
+
+TINY = ["--m", "3", "--beta", "2", "--trials", "4", "--sample-size", "3", "--workers", "1"]
+
+
+@pytest.mark.parametrize("mode", ["tdma", "hier"])
+def test_every_layer_span_is_called(mode, tmp_path):
+    tr = Tracer()
+    with tr.installed():
+        rc = tr.wrap(CLI_SPAN, main)([*TINY, "--mode", mode, "--out", str(tmp_path / "o.csv")])
+    assert rc == 0
+    calls = {name: n for name, (n, _) in tr.layers().items()}
+    # fit_scaling runs only with --fit on a sweep.
+    missing = [s for s in SPAN_NAMES if s != "harness.fit_scaling" and calls[s] == 0]
+    assert missing == []
+    assert calls["linkrate.link_capacity"] == calls["qmimo.noise_profile"] == 3
