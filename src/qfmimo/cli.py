@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .harness import (
+    FIT_MODELS,
     ConfigError,
     NumericalError,
     PowerLawFit,
@@ -151,8 +152,12 @@ def main(argv: list[str] | None = None) -> int:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         fit_model = settings.get("fit")
-        if fit_model and m_list is None:
+        if fit_model and fit_model not in FIT_MODELS:
+            raise ConfigError(f"fit model must be one of {FIT_MODELS}, got {fit_model!r}")
+        if fit_model and (m_list is None or len(m_list) < 3):
             raise ConfigError("--fit needs a --sweep with at least 3 points")
+        if fit_model == "m_log_m_ratio" and min(m_list) < 2:
+            raise ConfigError("--fit m_log_m_ratio needs every m >= 2 (log2 m must be > 0)")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -197,11 +202,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _log_point(row: SweepRow) -> None:
+    # The rate stage's parts sit inside the parentheses, so the stage list
+    # after them is exactly place, rate, bound.
+    parts = "".join(f" {k}={v:.3f}s" for k, v in row.rate_timings.items())
     stages = "".join(f" {k}={v:.3f}s" for k, v in row.timings.items())
     print(
         f"point m={row.m}: n={row.n} n1={row.n1} "
         f"R_sum={row.r_sum:.6g} R_upper={row.r_upper:.6g} "
-        f"({row.runtime_seconds:.2f}s){stages}",
+        f"({row.runtime_seconds:.2f}s; in rate:{parts}){stages}",
         file=sys.stderr,
     )
 

@@ -7,7 +7,9 @@ therefore produce byte-identical CSV files regardless of worker count.  Wall
 clock per point, and per stage (placement, rate, bound), is measured and
 kept on the in-memory result (and logged by the CLI), but the CSV runtime_s
 column always carries the placeholder 0.0 -- the one field a real clock
-would otherwise leak into the reproducible artifact.
+would otherwise leak into the reproducible artifact.  The rate stage's time
+is further split into link capacities plus quantization noise and the Monte
+Carlo log-det.
 """
 
 from __future__ import annotations
@@ -59,7 +61,11 @@ class SweepFailure(NumericalError):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One CSV row of a sweep; runtime_seconds and timings are not serialized."""
+    """One CSV row of a sweep; runtime_seconds and the timings are not serialized.
+
+    timings holds the place/rate/bound stage seconds, rate_timings the
+    link/logdet seconds spent inside the rate stage.
+    """
 
     m: int
     n: int
@@ -74,6 +80,7 @@ class SweepRow:
     runtime_seconds: float
     seed: int
     timings: dict[str, float] = field(default_factory=dict, compare=False)
+    rate_timings: dict[str, float] = field(default_factory=dict, compare=False)
 
     def to_csv(self) -> str:
         # repr() of a float is its shortest round-trip form, so rows are
@@ -101,7 +108,9 @@ class PointResult:
     """Full outcome of one (params, seed) evaluation.
 
     timings holds wall seconds per stage: "place" (placement and grouping),
-    "rate" (sum-rate estimate) and "bound" (cut-set upper bound).
+    "rate" (sum-rate estimate) and "bound" (cut-set upper bound), plus the
+    parts of the rate stage "link" (link capacities and quantization noise)
+    and "logdet" (phase draws, Gram matrices and log-dets).
     """
 
     params: NetworkParams
@@ -127,7 +136,8 @@ class PointResult:
             c_link_min=self.report.c_link_min,
             runtime_seconds=self.runtime_seconds,
             seed=self.params.seed,
-            timings=self.timings,
+            timings={k: self.timings[k] for k in ("place", "rate", "bound")},
+            rate_timings={k: self.timings[k] for k in ("link", "logdet")},
         )
 
 
@@ -196,7 +206,12 @@ def run_point(params: NetworkParams) -> PointResult:
         n1=realization.n1,
         n2_mean=realization.n2_mean,
         runtime_seconds=perf_counter() - t0,
-        timings={"place": t_place - t0, "rate": t_rate - t_place, "bound": t_bound - t_rate},
+        timings={
+            "place": t_place - t0,
+            "rate": t_rate - t_place,
+            "bound": t_bound - t_rate,
+            **report.timings,
+        },
     )
 
 
@@ -237,6 +252,9 @@ def run_sweep(
         try:
             for result in points:
                 rows.append(result.row())
+                # Free the point's per-destination arrays before the next
+                # point runs, so they do not add to its peak memory.
+                del result
         except (NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise SweepFailure(
                 f"sweep point m={m_list[len(rows)]} failed: {exc}",

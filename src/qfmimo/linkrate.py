@@ -5,8 +5,9 @@ quantized observation.  The exchange takes n2 - 1 slots: while pair (i, j)
 is served, rank i of every co-active group transmits (a smaller group's last
 member stands in for missing ranks).  Groups reuse the spectrum under a
 4-cell activation pattern where one cell out of every 2x2 block is active at
-a time.  Link capacities are computed per receiver, for every transmitter
-rank at once, under the relay discipline NetworkParams.mode selects:
+a time.  Link capacities are computed for a batch of receivers of one group
+and every transmitter rank at once, under the relay discipline
+NetworkParams.mode selects:
 
 * "tdma": exact-geometry SINR under the 4-cell reuse pattern,
 * "hier": the hierarchical-cooperation per-node rate guarantee
@@ -92,9 +93,9 @@ def tdma4_active_groups(realization: NetworkRealization, k: int) -> list[int]:
 
 
 def _exact_sinr_capacities(
-    realization: NetworkRealization, k: int, j: int, params: NetworkParams
+    realization: NetworkRealization, k: int, ranks: np.ndarray, params: NetworkParams
 ) -> np.ndarray:
-    """Exact-geometry capacities of every in-group link into rank j of group k.
+    """Exact-geometry capacities of every in-group link into each rank of `ranks`.
 
     While pair (i, j) is served in group k, the rank-i member of every other
     co-active group transmits as well (clamped to the last member when a
@@ -105,19 +106,22 @@ def _exact_sinr_capacities(
     Unit-modulus fading leaves every received power at its deterministic
     path-loss value, so the ergodic log2(1 + SINR) equals its single-draw
     value.  The in-set TDMA share contributes the 1/n2 prefactor, and every
-    entry is >= 0 by construction.  Entry i is the capacity of link i -> j
-    for all ranks i at once; entry j, the receiver's own observation, is
-    infinite.  The SINR reads p1 and alpha from `params`; callers check
-    that j is a rank of group k.
+    entry is >= 0 by construction.  Row r holds the capacities of links
+    i -> ranks[r] for all ranks i at once; its entry ranks[r], the receiver's
+    own observation, is infinite.  The co-active transmitters are looked up
+    once for all receivers.  The SINR reads p1 and alpha from `params`;
+    callers check that every rank belongs to group k.
     """
     members = realization.group_members[k]
     n2 = members.size
     pos = realization.dest_pos
-    rx = pos[members[j]]
-    sig_dist = np.linalg.norm(pos[members] - rx, axis=1)
-    if np.count_nonzero(sig_dist == 0.0) > 1:
+    rx = pos[members[ranks]]
+    rows = np.arange(ranks.size)
+    sig_dist = np.linalg.norm(pos[members] - rx[:, None], axis=-1)
+    # Each row holds its receiver's own zero distance; any other zero is a clash.
+    if np.count_nonzero(sig_dist == 0.0) > ranks.size:
         raise ValueError("transmitter and receiver share a position")
-    sig_dist[j] = 1.0  # any positive value: caps[j] is overwritten below
+    sig_dist[rows, ranks] = 1.0  # any positive value: the self link is overwritten below
 
     others = [l for l in tdma4_active_groups(realization, k) if l != k]
     if others:
@@ -126,16 +130,16 @@ def _exact_sinr_capacities(
         starts = np.cumsum(sizes) - sizes
         flat = np.concatenate([realization.group_members[l] for l in others])
         tx = flat[starts + np.minimum(np.arange(n2)[:, None], sizes - 1)]
-        dist = np.linalg.norm(pos[tx] - rx, axis=-1)
+        dist = np.linalg.norm(pos[tx] - rx[:, None, None], axis=-1)
         if not dist.all():
             raise ValueError("interferer and receiver share a position")
-        interference = (params.p1 * dist**-params.alpha).sum(axis=1)
+        interference = (params.p1 * dist**-params.alpha).sum(axis=-1)
     else:
-        interference = np.zeros(n2)
+        interference = np.zeros(sig_dist.shape)
 
     sinr = params.p1 * sig_dist**-params.alpha / (1.0 + interference)
     caps = np.log2(1.0 + sinr) / n2
-    caps[j] = math.inf
+    caps[rows, ranks] = math.inf
     return caps
 
 
@@ -153,22 +157,26 @@ def exact_sinr_capacity(
         raise ValueError(
             f"pair {pair} is not a directed link of a group of size {n2}"
         )
-    return float(_exact_sinr_capacities(realization, k, j, params)[i])
+    return float(_exact_sinr_capacities(realization, k, np.array([j]), params)[0, i])
 
 
 def link_capacity(
-    realization: NetworkRealization, k: int, j: int, params: NetworkParams
+    realization: NetworkRealization, k: int, j: int | np.ndarray, params: NetworkParams
 ) -> np.ndarray:
     """Capacities of every in-group link into receiver rank j of group k.
 
     Entry i is the capacity of link i -> j under params.mode; entry j, the
-    receiver's own observation, is infinite.
+    receiver's own observation, is infinite.  With an array of J ranks the
+    result is a (J, n2) matrix whose row r belongs to receiver j[r]; a
+    scalar rank gives that matrix's only row.
     """
     n2 = realization.n2_of(k)
-    if not 0 <= j < n2:
+    ranks = np.atleast_1d(j)
+    if not np.all((ranks >= 0) & (ranks < n2)):
         raise ValueError(f"rank {j} not in group {k} of size {n2}")
     if params.mode == "hier":
-        caps = np.full(n2, hier_capacity(n2, params.epsilon, params.c2))
-        caps[j] = math.inf
-        return caps
-    return _exact_sinr_capacities(realization, k, j, params)
+        caps = np.full((ranks.size, n2), hier_capacity(n2, params.epsilon, params.c2))
+        caps[np.arange(ranks.size), ranks] = math.inf
+    else:
+        caps = _exact_sinr_capacities(realization, k, ranks, params)
+    return caps if np.ndim(j) else caps[0]

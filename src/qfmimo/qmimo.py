@@ -32,7 +32,9 @@ instead of returning an inaccurate rate.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -57,6 +59,12 @@ _BLOCK_ENTRIES = 2**13
 # log-det accurate; beyond it roundoff swamps the small eigenvalues.
 _TALL_GRAM_LIMIT = 1e-3
 
+# Entries one destination batch of sum_rate may hold in its Gram stacks
+# (trials * k * k complex per destination) or, in tdma, in its interference
+# distances (at most n2 * n1 per receiver); a destination that alone exceeds
+# the budget forms a batch of one.
+_BATCH_ENTRIES = 3 * 2**14
+
 
 def phase_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Complex array of the given shape with unit-modulus i.i.d. phases.
@@ -74,46 +82,69 @@ def phase_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
     u *= _PHASE_STEP
     x2 = u * u
     theta = np.empty(shape, dtype=complex)
-    theta.real = 1.0 - x2 * (0.5 - x2 / 24.0)
-    theta.imag = u * (1.0 - x2 * (1.0 / 6.0 - x2 / 120.0))
+    # Both polynomials are evaluated in one scratch array, in the operation
+    # order of 1 - x2 (1/2 - x2/24) and x (1 - x2 (1/6 - x2/120)), so no
+    # other temporaries of the block's size are made.
+    t = np.divide(x2, 24.0)
+    np.subtract(0.5, t, out=t)
+    t *= x2
+    np.subtract(1.0, t, out=theta.real)
+    np.divide(x2, 120.0, out=t)
+    np.subtract(1.0 / 6.0, t, out=t)
+    t *= x2
+    np.subtract(1.0, t, out=t)
+    np.multiply(u, t, out=theta.imag)
+    del u, x2, t
     theta *= _PHASE_TABLE.take(idx)
     return theta
 
 
 def ergodic_logdet(
-    row_scale: np.ndarray, m: int, trials: int, rng: np.random.Generator
-) -> tuple[float, float]:
+    row_scale: np.ndarray,
+    m: int,
+    trials: int,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Monte Carlo mean and standard error of log2 det(I + S S').
 
     S = diag(row_scale) Th with Th a fresh (rows, m) phase matrix per trial.
     The determinant is evaluated on the smaller side of the product.  Trials
     are drawn in consecutive blocks, which consume the same random stream as
-    one draw of every trial.  Raises FloatingPointError when rows > m and the
-    row scales are too large for the m x m Gram S'S to resolve det(I + S'S).
+    one draw of every trial.  A (J, rows) row_scale with one generator per
+    row gives (J,) arrays: each channel draws from its own generator, and
+    their Gram matrices form one stack with one slogdet call.  Raises
+    FloatingPointError when rows > m and the row scales are too large for the
+    m x m Gram S'S to resolve det(I + S'S).
     """
-    rows = row_scale.size
+    scales = np.atleast_2d(row_scale)
+    rngs = [rng] if np.ndim(row_scale) == 1 else rng
+    count, rows = scales.shape
     tall = rows > m
-    if tall and np.finfo(float).eps * m * (row_scale @ row_scale) > _TALL_GRAM_LIMIT:
-        raise FloatingPointError(
-            f"row scales up to {row_scale.max():.3g} over {rows} rows are too "
-            f"large for an accurate {m}x{m} Gram log-det"
-        )
+    for scale in scales if tall else ():
+        if np.finfo(float).eps * m * (scale @ scale) > _TALL_GRAM_LIMIT:
+            raise FloatingPointError(
+                f"row scales up to {scale.max():.3g} over {rows} rows are too "
+                f"large for an accurate {m}x{m} Gram log-det"
+            )
     k = min(rows, m)
-    gram = np.empty((trials, k, k), dtype=complex)
+    gram = np.empty((count, trials, k, k), dtype=complex)
     block = max(1, _BLOCK_ENTRIES // (rows * m))
-    for lo in range(0, trials, block):
-        hi = min(lo + block, trials)
-        s = phase_matrix(rng, hi - lo, rows, m)
-        s *= row_scale[:, None]
-        if tall:
-            np.matmul(s.conj().swapaxes(-1, -2), s, out=gram[lo:hi])
-        else:
-            np.matmul(s, s.conj().swapaxes(-1, -2), out=gram[lo:hi])
+    for out, scale, gen in zip(gram, scales, rngs):
+        for lo in range(0, trials, block):
+            hi = min(lo + block, trials)
+            s = phase_matrix(gen, hi - lo, rows, m)
+            s *= scale[:, None]
+            if tall:
+                np.matmul(s.conj().swapaxes(-1, -2), s, out=out[lo:hi])
+            else:
+                np.matmul(s, s.conj().swapaxes(-1, -2), out=out[lo:hi])
     gram += np.eye(k)
     _, logdet = np.linalg.slogdet(gram)
     vals = logdet / _LOG2
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean = vals.mean(axis=-1)
+    stderr = vals.std(ddof=1, axis=-1) / math.sqrt(trials) if trials > 1 else np.zeros(count)
+    if np.ndim(row_scale) == 1:
+        return float(mean[0]), float(stderr[0])
     return mean, stderr
 
 
@@ -164,30 +195,43 @@ def quantized_mimo_rate(
     delta: float,
     n: int,
     trials: int,
-    rng: np.random.Generator,
-) -> tuple[float, float, float]:
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo decode rate for one destination given its noise profile.
 
     Averages log2 det(I + (p0/m) G Th Th' G Q^{-1}) over fresh phase draws;
     rows with NO_RELAY noise are dropped.  Returns (rate, standard error,
-    mean log-det), where rate = (delta/n) * mean log-det.
+    mean log-det), where rate = (delta/n) * mean log-det.  A (J, n2) noise
+    matrix with one generator per row rates J destinations of one group at
+    once and returns three (J,) arrays; destinations keeping the same number
+    of rows share one Gram stack (see ergodic_logdet).
     """
     gamma = np.asarray(gamma, dtype=float)
     noises = np.asarray(noises, dtype=float)
-    keep = np.isfinite(noises)
-    if not keep.any():
-        return 0.0, 0.0, 0.0
-
-    # det(I + c G Th Th' G Q^{-1}) = det(I + S S') with S = diag(row_scale) Th,
-    # since G and Q are diagonal and commute.
-    row_scale = math.sqrt(p0 / m) * gamma[keep] / np.sqrt(1.0 + noises[keep])
-    mean, stderr = ergodic_logdet(row_scale, m, trials, rng)
+    batch = np.atleast_2d(noises)
+    rngs = [rng] if noises.ndim == 1 else rng
+    keep = np.isfinite(batch)
+    kept = keep.sum(axis=1)
+    mean = np.zeros(kept.size)
+    stderr = np.zeros(kept.size)
+    scale = math.sqrt(p0 / m)
+    for rows in np.flatnonzero(np.bincount(kept)[1:]) + 1:
+        # det(I + c G Th Th' G Q^{-1}) = det(I + S S') with S = diag(row_scale) Th,
+        # since G and Q are diagonal and commute.
+        sel = np.flatnonzero(kept == rows)
+        mask = keep[sel]
+        row_scale = scale * gamma[mask.nonzero()[1]] / np.sqrt(1.0 + batch[sel][mask])
+        mean[sel], stderr[sel] = ergodic_logdet(
+            row_scale.reshape(sel.size, rows), m, trials, [rngs[i] for i in sel]
+        )
     share = delta / n
+    if noises.ndim == 1:
+        return float(share * mean[0]), float(share * stderr[0]), float(mean[0])
     return share * mean, share * stderr, mean
 
 
 def noise_profile(
-    realization: NetworkRealization, k: int, j: int, params: NetworkParams
+    realization: NetworkRealization, k: int, j: int | np.ndarray, params: NetworkParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Link capacities, quantization noises and received powers at (k, j).
 
@@ -195,14 +239,17 @@ def noise_profile(
     the variance relay i adds on its forwarded observation (NO_RELAY when
     the link is unusable, exactly 0 for the target's own unquantized
     observation); caps[i] is the capacity that produced it (infinite for the
-    self link).
+    self link).  An array of J ranks gives three (J, n2) matrices, row r for
+    target j[r]; the powers do not depend on the target, so that matrix is a
+    read-only broadcast of one row.
     """
     n2 = realization.n2_of(k)
     powers = received_power(realization, k, np.arange(n2), params.p0, params.alpha)
     caps = link_capacity(realization, k, j, params)
     noises = quantization_noise(powers, caps, params.delta, realization.n, n2)
-    noises[j] = 0.0  # the target's own observation is not quantized
-    return caps, noises, powers
+    # The target's own observation is not quantized.
+    np.atleast_2d(noises)[np.arange(np.size(j)), j] = 0.0
+    return caps, noises, np.broadcast_to(powers, noises.shape)
 
 
 @dataclass
@@ -224,21 +271,29 @@ class DestinationRate:
 def achievable_rate(
     realization: NetworkRealization,
     k: int,
-    j: int,
+    j: int | np.ndarray,
     params: NetworkParams,
-    rng: np.random.Generator,
-) -> DestinationRate:
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    timings: dict[str, float] | None = None,
+) -> DestinationRate | list[DestinationRate]:
     """Quantize-and-forward rate of destination rank j in group k.
 
     Link capacities follow params.mode; the destination's own observation
     enters with zero quantization noise (an infinite-capacity self-link).
     Alongside the Monte Carlo rate the per-relay quantizer rates and
     mutual-information bounds are recorded so a report can be audited against
-    the rate-constraint system (see check_rate_constraints).
+    the rate-constraint system (see check_rate_constraints).  An array of
+    ranks with one generator each rates that batch of group k's destinations
+    and returns one DestinationRate per rank, in order.  When `timings` is
+    given, the seconds spent on link capacities plus quantization noise and
+    on the Monte Carlo log-det are added to its "link" and "logdet" entries.
     """
-    caps, noises, powers = noise_profile(realization, k, j, params)
+    ranks = np.atleast_1d(j)
+    rngs = [rng] if np.ndim(j) == 0 else rng
+    t0 = perf_counter()
+    caps, noises, powers = noise_profile(realization, k, ranks, params)
     n = realization.n
-    n2 = noises.size
+    n2 = noises.shape[1]
 
     usable = np.isfinite(noises)
     with np.errstate(divide="ignore"):
@@ -255,21 +310,30 @@ def achievable_rate(
 
     d = realization.group_distances(k)
     gamma = (d[-1] / d) ** (params.alpha / 2.0)
+    t1 = perf_counter()
     rate, stderr, mean_logdet = quantized_mimo_rate(
-        gamma, noises, params.p0, params.m, params.delta, n, params.trials, rng
+        gamma, noises, params.p0, params.m, params.delta, n, params.trials, rngs
     )
-    return DestinationRate(
-        group=k,
-        rank=j,
-        dest_index=int(realization.group_members[k][j]),
-        rate=rate,
-        stderr=stderr,
-        mean_logdet=mean_logdet,
-        link_capacities=caps,
-        noises=noises,
-        quantizer_rates=quantizer_rates,
-        mi_quantize=mi_quantize,
-    )
+    if timings is not None:
+        timings["link"] = timings.get("link", 0.0) + t1 - t0
+        timings["logdet"] = timings.get("logdet", 0.0) + perf_counter() - t1
+    members = realization.group_members[k]
+    out = [
+        DestinationRate(
+            group=k,
+            rank=int(rank),
+            dest_index=int(members[rank]),
+            rate=float(rate[r]),
+            stderr=float(stderr[r]),
+            mean_logdet=float(mean_logdet[r]),
+            link_capacities=caps[r].copy(),
+            noises=noises[r].copy(),
+            quantizer_rates=quantizer_rates[r].copy(),
+            mi_quantize=mi_quantize[r].copy(),
+        )
+        for r, rank in enumerate(ranks)
+    ]
+    return out if np.ndim(j) else out[0]
 
 
 def check_rate_constraints(
@@ -323,7 +387,9 @@ class RateReport:
     r_sum = n * r_ind exactly; r_sum_stderr scales the standard error of the
     minimizing destination.  n_max is the largest finite quantization noise
     seen, c_link_min the smallest relay-link capacity, self links excluded
-    (NaN when no sampled destination has a relay).
+    (NaN when no sampled destination has a relay).  timings holds the wall
+    seconds spent on link capacities plus quantization noise ("link") and on
+    phase draws, Gram matrices and log-dets ("logdet").
     """
 
     n: int
@@ -333,10 +399,20 @@ class RateReport:
     r_sum_stderr: float
     n_max: float
     c_link_min: float
+    timings: dict[str, float] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def sample_size(self) -> int:
         return len(self.destinations)
+
+
+def _batch_size(realization: NetworkRealization, k: int, params: NetworkParams) -> int:
+    """Destinations of group k one achievable_rate call may rate together."""
+    n2 = realization.n2_of(k)
+    per_dest = params.trials * min(n2, params.m) ** 2
+    if params.mode == "tdma":
+        per_dest = max(per_dest, n2 * realization.n1)
+    return max(1, _BATCH_ENTRIES // per_dest)
 
 
 def sum_rate(
@@ -350,7 +426,9 @@ def sum_rate(
     Evaluates achievable_rate on a uniform sample of sample_size destinations
     (all of them when sample_size >= n); each destination consumes an
     independent substream seeded from rng, so evaluation order and worker
-    count cannot change the result.
+    count cannot change the result.  The sample is rated in batches of
+    destinations sharing a group, at most _batch_size of them at a time, and
+    reported in sampling order.
     """
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
@@ -361,20 +439,29 @@ def sum_rate(
         chosen = rng.choice(n, size=sample_size, replace=False)
     dest_seeds = rng.integers(0, 2**63, size=chosen.size)
 
-    destinations = []
-    for dest, seed in zip(chosen, dest_seeds):
-        k = int(realization.group_of[dest])
-        j = int(realization.rank_of[dest])
-        destinations.append(
-            achievable_rate(realization, k, j, params, np.random.default_rng(int(seed)))
-        )
+    groups = realization.group_of[chosen]
+    order = np.argsort(groups, kind="stable")
+    runs = np.split(order, np.flatnonzero(np.diff(groups[order])) + 1)
+    destinations = [None] * chosen.size
+    timings = {"link": 0.0, "logdet": 0.0}
+    for run in runs:
+        k = int(groups[run[0]])
+        size = _batch_size(realization, k, params)
+        for lo in range(0, run.size, size):
+            batch = run[lo : lo + size]
+            rngs = [np.random.default_rng(int(seed)) for seed in dest_seeds[batch]]
+            ranks = realization.rank_of[chosen[batch]]
+            rated = achievable_rate(realization, k, ranks, params, rngs, timings)
+            for index, dr in zip(batch, rated):
+                destinations[index] = dr
 
     worst = min(destinations, key=lambda dr: dr.rate)
     noises = np.concatenate([dr.noises for dr in destinations])
-    relay_caps = np.concatenate(
-        [np.delete(dr.link_capacities, dr.rank) for dr in destinations]
-    )
+    caps = np.concatenate([dr.link_capacities for dr in destinations])
     finite_noises = noises[np.isfinite(noises) & (noises > 0.0)]
+    # Self links are infinite, so the smallest capacity is a relay link's
+    # whenever some sampled group has more than one member.
+    has_relay = caps.size > len(destinations)
     return RateReport(
         n=n,
         destinations=destinations,
@@ -382,5 +469,6 @@ def sum_rate(
         r_sum=n * worst.rate,
         r_sum_stderr=n * worst.stderr,
         n_max=float(finite_noises.max()) if finite_noises.size else 0.0,
-        c_link_min=float(relay_caps.min()) if relay_caps.size else math.nan,
+        c_link_min=float(caps.min()) if has_relay else math.nan,
+        timings=timings,
     )

@@ -391,3 +391,55 @@ def test_cli_logs_stage_timings_outside_csv(tmp_path, capsys):
     bare = io.StringIO()
     write_csv(ScalingSeries(rows=[replace(row, timings={}) for row in series.rows]), bare)
     assert out.read_bytes() == bare.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--sweep", "2,3", "--fit", "power_law"], ""),
+        (["--sweep", "1,2,3", "--fit", "m_log_m_ratio"], ""),
+        (["--sweep", "2,3,4"], "fit = cubic\n"),  # the flag's choices do not guard a file
+    ],
+)
+def test_cli_fit_preconditions_exit_2_before_any_point(monkeypatch, tmp_path, argv, config):
+    # Too few sweep points, an m < 2 under m_log_m_ratio, or an unknown fit
+    # model is a bad input: rejected with exit 2 before any point runs, and
+    # no CSV is written.
+    import qfmimo.cli
+    import qfmimo.harness
+
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(config)
+    argv = [*argv, "--config", str(cfg)]
+
+    calls = []
+
+    def no_point(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("run_point called")
+
+    monkeypatch.setattr(qfmimo.harness, "run_point", no_point)
+    monkeypatch.setattr(qfmimo.cli, "run_point", no_point)
+    out = tmp_path / "fit.csv"
+    rc = main([*argv, "--trials", "2", "--sample-size", "2", "--beta", "2", "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    assert not out.exists()
+
+
+def test_rate_stage_split_into_link_and_logdet(tmp_path, capsys):
+    p = NetworkParams(m=3, beta=2.0, seed=5, trials=8, sample_size=4)
+    timings = run_point(p).timings
+    assert list(timings) == ["place", "rate", "bound", "link", "logdet"]
+    assert all(v >= 0.0 for v in timings.values())
+    assert timings["link"] + timings["logdet"] <= timings["rate"]
+    out = tmp_path / "point.csv"
+    assert main(["--m", "3", "--beta", "2", "--seed", "5", "--trials", "8",
+                 "--sample-size", "4", "--out", str(out)]) == 0
+    (line,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("point m=")]
+    inner = line.split("(", 1)[1].split(")", 1)[0]
+    parts = dict(tok.split("=") for tok in inner.split("in rate:")[1].split())
+    assert list(parts) == ["link", "logdet"]
+    assert all(float(v.rstrip("s")) >= 0.0 for v in parts.values())
+    # The CSV carries no clock: runtime_s stays the 0.0 placeholder.
+    assert out.read_text().splitlines()[1].split(",")[-2] == "0.0"

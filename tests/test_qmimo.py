@@ -12,6 +12,7 @@ from qfmimo import (
     achievable_rate,
     check_rate_constraints,
     derive_rng,
+    link_capacity,
     lozano_regime_value,
     noise_profile,
     phase_matrix,
@@ -426,3 +427,176 @@ def test_sum_rate_rejects_empty_sample():
     p = NetworkParams(m=1, beta=1.0)
     with pytest.raises(ValueError):
         sum_rate(r, p, derive_rng(0), 0)
+
+
+# ---------------------------------------------------------------------------
+# group batches against the per-destination reference
+# ---------------------------------------------------------------------------
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def _reference_sum_rate(realization, params, rng, sample_size):
+    """sum_rate as a loop of scalar-rank achievable_rate calls, one generator
+    per destination, evaluated in sampling order."""
+    n = realization.n
+    if sample_size >= n:
+        chosen = np.arange(n)
+    else:
+        chosen = rng.choice(n, size=sample_size, replace=False)
+    dest_seeds = rng.integers(0, 2**63, size=chosen.size)
+    destinations, generators = [], []
+    for dest, seed in zip(chosen, dest_seeds):
+        gen = np.random.default_rng(int(seed))
+        k = int(realization.group_of[dest])
+        j = int(realization.rank_of[dest])
+        destinations.append(achievable_rate(realization, k, j, params, gen))
+        generators.append(gen)
+    worst = min(destinations, key=lambda dr: dr.rate)
+    noises = np.concatenate([dr.noises for dr in destinations])
+    relay_caps = np.concatenate(
+        [np.delete(dr.link_capacities, dr.rank) for dr in destinations]
+    )
+    finite_noises = noises[np.isfinite(noises) & (noises > 0.0)]
+    report = qmimo.RateReport(
+        n=n,
+        destinations=destinations,
+        r_ind=worst.rate,
+        r_sum=n * worst.rate,
+        r_sum_stderr=n * worst.stderr,
+        n_max=float(finite_noises.max()) if finite_noises.size else 0.0,
+        c_link_min=float(relay_caps.min()) if relay_caps.size else math.nan,
+    )
+    return report, generators
+
+
+BATCH_CASES = {
+    "tdma_subsample": (NetworkParams(m=4, beta=3.0, seed=3, trials=16), 10),
+    "tdma_every_destination": (NetworkParams(m=4, beta=2.5, seed=5, trials=8), 100),
+    "hier": (NetworkParams(m=4, beta=3.0, mode="hier", seed=3, trials=16), 40),
+    # log2(1 + SINR) rounds to 0 on far links only, so relays drop and every
+    # group mixes destinations of different kept-row counts.
+    "tdma_dropped_relays": (NetworkParams(m=4, beta=3.0, seed=3, p1=1e-19, trials=8), 64),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2 * 8 * 4 * 4])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, budget):
+    p, sample_size = BATCH_CASES[case]
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    if case == "tdma_dropped_relays":
+        for k in range(r.n1):
+            _, noises, _ = noise_profile(r, k, np.arange(r.n2_of(k)), p)
+            assert np.unique(np.isfinite(noises).sum(axis=1)).size > 1
+    if budget is not None:
+        # 1 gives batches of one; 2 * 8 * 4 * 4 gives batches of two in the
+        # trials=8 cases, whose destinations hold 8 * 4 * 4 Gram entries each.
+        monkeypatch.setattr(qmimo, "_BATCH_ENTRIES", budget)
+    batches = []
+
+    def spy(realization, k, j, params, rng, timings=None):
+        batches.append((k, np.asarray(j).copy(), list(rng)))
+        return achievable_rate(realization, k, j, params, rng, timings)
+
+    ref_rng, new_rng = derive_rng(p.seed, 1), derive_rng(p.seed, 1)
+    reference, ref_gens = _reference_sum_rate(r, p, ref_rng, sample_size)
+    monkeypatch.setattr(qmimo, "achievable_rate", spy)
+    report = sum_rate(r, p, new_rng, sample_size)
+
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert all(np.ndim(j) == 1 for _, j, _ in batches)
+    if budget is None:
+        assert len(batches) < report.sample_size  # some batch rates several
+    # Generators in destination order: batches list each group's
+    # destinations in sampling order, and groups ascend.
+    order = sorted(
+        range(report.sample_size),
+        key=lambda i: report.destinations[i].group,
+    )
+    gens = [g for _, _, gs in batches for g in gs]
+    assert len(gens) == len(ref_gens)
+    for i, gen in zip(order, gens):
+        assert gen.bit_generator.state == ref_gens[i].bit_generator.state
+
+    assert [d.dest_index for d in report.destinations] == [
+        d.dest_index for d in reference.destinations
+    ]
+    for got, want in zip(report.destinations, reference.destinations):
+        for name in ("group", "rank", "dest_index"):
+            assert getattr(got, name) == getattr(want, name)
+            assert type(getattr(got, name)) is int
+        for name in ("rate", "stderr", "mean_logdet"):
+            assert type(getattr(got, name)) is float
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name))
+        for name in ("link_capacities", "noises", "quantizer_rates", "mi_quantize"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+    assert report.n == reference.n
+    for name in ("r_ind", "r_sum", "r_sum_stderr", "n_max", "c_link_min"):
+        assert _bits(getattr(report, name)) == _bits(getattr(reference, name))
+    assert set(report.timings) == {"link", "logdet"}
+
+
+@pytest.mark.parametrize("mode", ["tdma", "hier"])
+def test_rank_arrays_equal_stacked_scalar_calls(mode):
+    p = NetworkParams(m=8, beta=2.5, alpha=3.0, p1=2.0, seed=4, mode=mode, trials=4)
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    for k in range(0, r.n1, 7):
+        n2 = r.n2_of(k)
+        ranks = np.array([n2 - 1, 0, n2 // 2, 0], dtype=r.rank_of.dtype)
+        caps = link_capacity(r, k, ranks, p)
+        assert caps.shape == (ranks.size, n2)
+        want = np.stack([link_capacity(r, k, int(j), p) for j in ranks])
+        assert caps.tobytes() == want.tobytes()
+        profile = noise_profile(r, k, ranks, p)
+        scalar = [noise_profile(r, k, int(j), p) for j in ranks]
+        for got, parts in zip(profile, zip(*scalar)):
+            assert got.shape == (ranks.size, n2)
+            assert np.ascontiguousarray(got).tobytes() == np.stack(parts).tobytes()
+
+
+def test_rank_array_with_one_bad_rank_raises():
+    p = NetworkParams(m=4, beta=2.0, seed=6)
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    k = int(np.argmax([r.n2_of(g) for g in range(r.n1)]))
+    n2 = r.n2_of(k)
+    for bad in (n2, -1):
+        with pytest.raises(ValueError):
+            link_capacity(r, k, np.array([0, bad, 1]), p)
+        with pytest.raises(ValueError):
+            noise_profile(r, k, np.array([bad]), p)
+        with pytest.raises(ValueError):
+            achievable_rate(r, k, np.array([0, bad]), p, [derive_rng(0), derive_rng(1)])
+
+
+# tracemalloc peak of the guarded sum_rate call below on the per-destination
+# implementation that preceded group batches: 4,722,092 bytes.
+PER_DESTINATION_PEAK = 4_722_092
+
+
+def test_batch_memory_stays_bounded(monkeypatch):
+    # The shape of hier_profile's m=32 point: one group of 1024 members, 20
+    # sampled destinations, (100, 32, 32) Gram stacks of 1.6 MB each.  One
+    # unbounded batch would hold all 20 at once.
+    p = NetworkParams(m=32, beta=2.0, mode="hier", q=0.05, epsilon=0.05, delta=0.5,
+                      trials=100, sample_size=20, seed=1)
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    assert r.n1 == 1 and r.n2_of(0) == 1024
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rate layer must not call np.unique or np.union1d")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(np, "union1d", refuse)
+    sum_rate(r, p, derive_rng(p.seed, 1), p.sample_size)  # warm numpy paths
+    tracemalloc.start()
+    try:
+        sum_rate(r, p, derive_rng(p.seed, 1), p.sample_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * PER_DESTINATION_PEAK

@@ -29,4 +29,11 @@ def test_every_layer_span_is_called(mode, tmp_path):
     # fit_scaling runs only with --fit on a sweep.
     missing = [s for s in SPAN_NAMES if s != "harness.fit_scaling" and calls[s] == 0]
     assert missing == []
-    assert calls["linkrate.link_capacity"] == calls["qmimo.noise_profile"] == 3
+    # The three sampled destinations fall in two groups, and the rate layer
+    # runs once per group batch.
+    assert (
+        calls["qmimo.achievable_rate"]
+        == calls["linkrate.link_capacity"]
+        == calls["qmimo.noise_profile"]
+        == 2
+    )
