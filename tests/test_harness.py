@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -372,6 +375,26 @@ def test_cli_sweep_with_fit(tmp_path, capsys):
     assert rc == 0
     assert "fit power_law" in capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 4
+
+
+def test_cli_csv_bytes_independent_of_blas_threads(tmp_path):
+    # The sweep's Gram products take both the complex and the real rank-k
+    # form; neither may let OpenBLAS's thread split reach the CSV.
+    argv = [
+        sys.executable, "-m", "qfmimo.cli", "--mode", "hier", "--beta", "2",
+        "--q", "0.05", "--epsilon", "0.05", "--delta", "0.5", "--sweep", "8,16,32",
+        "--trials", "20", "--sample-size", "4", "--seed", "3",
+    ]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [*argv, "--out", str(out)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_logs_stage_timings_outside_csv(tmp_path, capsys):

@@ -234,6 +234,45 @@ def test_logdet_refuses_ill_conditioned_tall_gram():
         assert math.isfinite(mean) and math.isfinite(stderr)
 
 
+def _complex_product_logdet(row_scale, m, trials, rng):
+    """ergodic_logdet's estimate with the Gram as one complex matmul."""
+    s = phase_matrix(rng, trials, *row_scale.shape, m) * row_scale[:, None]
+    sh = s.conj().swapaxes(-1, -2)
+    gram = sh @ s if s.shape[-2] > m else s @ sh
+    vals = np.linalg.slogdet(gram + np.eye(gram.shape[-1]))[1] / math.log(2.0)
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(trials)
+
+
+@pytest.mark.parametrize(
+    "threshold", [None, 0, 2**62], ids=["default", "real_form", "complex_form"]
+)
+@pytest.mark.parametrize(
+    "rows, m, batch",
+    [(1024, 32, 1), (64, 64, 1), (32, 64, 1), (8, 200, 1), (23, 8, 1), (256, 16, 3)],
+)
+def test_real_form_gram_matches_complex_product(monkeypatch, threshold, rows, m, batch):
+    # Large trials take the Gram as a real symmetric rank-k update folded into
+    # complex form, small ones as a complex product; both must match the
+    # complex product on the same phases.  Each shape also runs with either
+    # form forced.
+    if threshold is not None:
+        monkeypatch.setattr(qmimo, "_REAL_FORM_MACS", threshold)
+    trials = 6
+    scales = np.linspace(0.4, 2.5, batch * rows).reshape(batch, rows)
+    seeds = [20 + j for j in range(batch)]
+    rngs = [derive_rng(seed) for seed in seeds]
+    twins = [derive_rng(seed) for seed in seeds]
+    if batch == 1:
+        got = [ergodic_logdet(scales[0], m, trials, rngs[0])]
+    else:
+        got = list(zip(*ergodic_logdet(scales, m, trials, rngs)))
+    for (mean, stderr), scale, rng, twin in zip(got, scales, rngs, twins):
+        ref_mean, ref_stderr = _complex_product_logdet(scale, m, trials, twin)
+        assert mean == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
+        assert stderr == pytest.approx(ref_stderr, rel=1e-10, abs=0.0)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # achievable rate and the i.i.d. surrogate
 # ---------------------------------------------------------------------------
