@@ -64,7 +64,8 @@ def mimo_ergodic_capacity_mc(
         raise ValueError("n_rx, m, and trials must all be >= 1")
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
-    return ergodic_logdet(np.full(n_rx, math.sqrt(p / m)), m, trials, rng)
+    mean, stderr = ergodic_logdet(np.full((1, n_rx), math.sqrt(p / m)), m, trials, [rng])
+    return float(mean[0]), float(stderr[0])
 
 
 def lozano_regime_value(regime: str, p: float, a: float | None = None) -> float:

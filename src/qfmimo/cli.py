@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -28,24 +29,9 @@ from .harness import (
     run_sweep,
     write_csv,
 )
-from .netgeom import NetworkParams
+from .netgeom import MODES, NetworkParams
 
-_PARAM_KEYS = {
-    "m": int,
-    "beta": float,
-    "alpha": float,
-    "p0": float,
-    "p1": float,
-    "q": float,
-    "delta": float,
-    "mode": str,
-    "epsilon": float,
-    "c2": float,
-    "exclusion_radius": float,
-    "trials": int,
-    "sample_size": int,
-    "seed": int,
-}
+_PARAM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(NetworkParams)}
 
 _RUN_KEYS = {
     "sweep": str,
@@ -102,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p1", type=float, help="per-destination power")
     parser.add_argument("--q", type=float, help="cell-area exponent in (0,1)")
     parser.add_argument("--delta", type=float, help="first-phase time fraction in (0,1)")
-    parser.add_argument("--mode", choices=("tdma", "hier"), help="in-group relay discipline")
+    parser.add_argument("--mode", choices=MODES, help="in-group relay discipline")
     parser.add_argument("--epsilon", type=float, help="hier-mode rate exponent in (0,1)")
     parser.add_argument("--c2", type=float, help="hier-mode rate constant")
     parser.add_argument("--exclusion-radius", type=float, dest="exclusion_radius",
@@ -112,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="destinations evaluated per sum-rate estimate")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--sweep", help="comma-separated ascending m values")
-    parser.add_argument("--fit", choices=("power_law", "m_log_m_ratio"),
-                        help="fit the sweep's R_sum column")
+    parser.add_argument("--fit", choices=FIT_MODELS, help="fit the sweep's R_sum column")
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     parser.add_argument("--workers", type=int, help="parallel workers for sweep points")
     return parser

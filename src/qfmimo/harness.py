@@ -224,9 +224,9 @@ def point_params(params: NetworkParams, m: int) -> NetworkParams:
     return replace(params, m=m, seed=derive_seed(params.seed, m))
 
 
-def _run_point_row(args: tuple[NetworkParams, int]) -> PointResult:
+def _run_point_row(args: tuple[NetworkParams, int]) -> SweepRow:
     params, m = args
-    return run_point(point_params(params, m))
+    return run_point(point_params(params, m)).row()
 
 
 def run_sweep(
@@ -250,11 +250,8 @@ def run_sweep(
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         points = (pool.map if parallel else map)(_run_point_row, [(params, m) for m in m_list])
         try:
-            for result in points:
-                rows.append(result.row())
-                # Free the point's per-destination arrays before the next
-                # point runs, so they do not add to its peak memory.
-                del result
+            for row in points:
+                rows.append(row)
         except (NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             raise SweepFailure(
                 f"sweep point m={m_list[len(rows)]} failed: {exc}",

@@ -148,8 +148,8 @@ def exact_sinr_capacity(
 ) -> float:
     """Exact-geometry capacity of directed in-group link (rank i -> rank j).
 
-    One entry of the per-receiver vector that link_capacity returns in tdma
-    mode; see _exact_sinr_capacities for the SINR model.
+    One entry of the matrix that link_capacity returns in tdma mode; see
+    _exact_sinr_capacities for the SINR model.
     """
     n2 = realization.n2_of(k)
     i, j = pair
@@ -161,22 +161,19 @@ def exact_sinr_capacity(
 
 
 def link_capacity(
-    realization: NetworkRealization, k: int, j: int | np.ndarray, params: NetworkParams
+    realization: NetworkRealization, k: int, ranks: np.ndarray, params: NetworkParams
 ) -> np.ndarray:
-    """Capacities of every in-group link into receiver rank j of group k.
+    """Capacities of every in-group link into each receiver rank of `ranks`.
 
-    Entry i is the capacity of link i -> j under params.mode; entry j, the
-    receiver's own observation, is infinite.  With an array of J ranks the
-    result is a (J, n2) matrix whose row r belongs to receiver j[r]; a
-    scalar rank gives that matrix's only row.
+    Returns a (J, n2) matrix for group k whose entry (r, i) is the capacity
+    of link i -> ranks[r] under params.mode; entry (r, ranks[r]), the
+    receiver's own observation, is infinite.
     """
     n2 = realization.n2_of(k)
-    ranks = np.atleast_1d(j)
     if not np.all((ranks >= 0) & (ranks < n2)):
-        raise ValueError(f"rank {j} not in group {k} of size {n2}")
-    if params.mode == "hier":
-        caps = np.full((ranks.size, n2), hier_capacity(n2, params.epsilon, params.c2))
-        caps[np.arange(ranks.size), ranks] = math.inf
-    else:
-        caps = _exact_sinr_capacities(realization, k, ranks, params)
-    return caps if np.ndim(j) else caps[0]
+        raise ValueError(f"ranks {ranks} not all in group {k} of size {n2}")
+    if params.mode == "tdma":
+        return _exact_sinr_capacities(realization, k, ranks, params)
+    caps = np.full((ranks.size, n2), hier_capacity(n2, params.epsilon, params.c2))
+    caps[np.arange(ranks.size), ranks] = math.inf
+    return caps

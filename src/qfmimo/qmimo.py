@@ -18,6 +18,11 @@ a useless link (C <= 0) removes its relay from the determinant entirely.
 The phase draws and the ergodic log-det kernel here also serve the cut-set
 module's Monte Carlo capacity oracle.
 
+The rate layer takes batches only.  sum_rate rates its sample one group at a
+time, so achievable_rate, noise_profile, quantized_mimo_rate and
+ergodic_logdet take J destinations (an array of ranks or a (J, n2) matrix)
+with one generator each, and return results with a leading axis of J.
+
 Phases are mapped from uniform draws through a 4096-entry table of roots of
 unity times a short Taylor polynomial for the remaining angle, which is
 several times faster than a complex exp and equal to it within 2e-15.  The
@@ -115,27 +120,22 @@ def phase_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 def ergodic_logdet(
-    row_scale: np.ndarray,
-    m: int,
-    trials: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo mean and standard error of log2 det(I + S S').
+    row_scale: np.ndarray, m: int, trials: int, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo means and standard errors of log2 det(I + S S'), one per channel.
 
-    S = diag(row_scale) Th with Th a fresh (rows, m) phase matrix per trial.
-    The determinant is evaluated on the smaller side of the product.  Trials
-    are drawn in consecutive blocks, which consume the same random stream as
-    one draw of every trial.  A (J, rows) row_scale with one generator per
-    row gives (J,) arrays: each channel draws from its own generator, and
-    their Gram matrices form one stack with one slogdet call.  Raises
-    FloatingPointError when rows > m and the row scales are too large for the
-    m x m Gram S'S to resolve det(I + S'S).
+    Row r of the (J, rows) row_scale is channel r: S = diag(row_scale[r]) Th
+    with Th a fresh (rows, m) phase matrix per trial, drawn from rngs[r].
+    Returns two (J,) arrays.  The determinant is evaluated on the smaller
+    side of the product, and the channels' Gram matrices form one stack with
+    one slogdet call.  Trials are drawn in consecutive blocks, which consume
+    the same random stream as one draw of every trial.  Raises
+    FloatingPointError when rows > m and a channel's row scales are too large
+    for the m x m Gram S'S to resolve det(I + S'S).
     """
-    scales = np.atleast_2d(row_scale)
-    rngs = [rng] if np.ndim(row_scale) == 1 else rng
-    count, rows = scales.shape
+    count, rows = row_scale.shape
     tall = rows > m
-    for scale in scales if tall else ():
+    for scale in row_scale if tall else ():
         if np.finfo(float).eps * m * (scale @ scale) > _TALL_GRAM_LIMIT:
             raise FloatingPointError(
                 f"row scales up to {scale.max():.3g} over {rows} rows are too "
@@ -145,7 +145,7 @@ def ergodic_logdet(
     real_form = max(rows, m) * k * k >= _REAL_FORM_MACS
     gram = np.empty((count, trials, k, k), dtype=complex)
     block = max(1, _BLOCK_ENTRIES // (rows * m))
-    for out, scale, gen in zip(gram, scales, rngs):
+    for out, scale, gen in zip(gram, row_scale, rngs):
         for lo in range(0, trials, block):
             hi = min(lo + block, trials)
             s = phase_matrix(gen, hi - lo, rows, m)
@@ -168,8 +168,6 @@ def ergodic_logdet(
     vals = logdet / _LOG2
     mean = vals.mean(axis=-1)
     stderr = vals.std(ddof=1, axis=-1) / math.sqrt(trials) if trials > 1 else np.zeros(count)
-    if np.ndim(row_scale) == 1:
-        return float(mean[0]), float(stderr[0])
     return mean, stderr
 
 
@@ -220,22 +218,18 @@ def quantized_mimo_rate(
     delta: float,
     n: int,
     trials: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Monte Carlo decode rate for one destination given its noise profile.
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monte Carlo decode rates of J destinations of one group.
 
-    Averages log2 det(I + (p0/m) G Th Th' G Q^{-1}) over fresh phase draws;
-    rows with NO_RELAY noise are dropped.  Returns (rate, standard error,
-    mean log-det), where rate = (delta/n) * mean log-det.  A (J, n2) noise
-    matrix with one generator per row rates J destinations of one group at
-    once and returns three (J,) arrays; destinations keeping the same number
-    of rows share one Gram stack (see ergodic_logdet).
+    Row r of the (J, n2) noise matrix is destination r's noise profile, and
+    its rate averages log2 det(I + (p0/m) G Th Th' G Q^{-1}) over fresh phase
+    draws from rngs[r], with rows of NO_RELAY noise dropped.  Returns three (J,)
+    arrays (rate, standard error, mean log-det), where rate = (delta/n) *
+    mean log-det.  Destinations keeping the same number of rows share one
+    Gram stack (see ergodic_logdet).
     """
-    gamma = np.asarray(gamma, dtype=float)
-    noises = np.asarray(noises, dtype=float)
-    batch = np.atleast_2d(noises)
-    rngs = [rng] if noises.ndim == 1 else rng
-    keep = np.isfinite(batch)
+    keep = np.isfinite(noises)
     kept = keep.sum(axis=1)
     mean = np.zeros(kept.size)
     stderr = np.zeros(kept.size)
@@ -245,35 +239,33 @@ def quantized_mimo_rate(
         # since G and Q are diagonal and commute.
         sel = np.flatnonzero(kept == rows)
         mask = keep[sel]
-        row_scale = scale * gamma[mask.nonzero()[1]] / np.sqrt(1.0 + batch[sel][mask])
+        row_scale = scale * gamma[mask.nonzero()[1]] / np.sqrt(1.0 + noises[sel][mask])
         mean[sel], stderr[sel] = ergodic_logdet(
             row_scale.reshape(sel.size, rows), m, trials, [rngs[i] for i in sel]
         )
     share = delta / n
-    if noises.ndim == 1:
-        return float(share * mean[0]), float(share * stderr[0]), float(mean[0])
     return share * mean, share * stderr, mean
 
 
 def noise_profile(
-    realization: NetworkRealization, k: int, j: int | np.ndarray, params: NetworkParams
+    realization: NetworkRealization, k: int, ranks: np.ndarray, params: NetworkParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Link capacities, quantization noises and received powers at (k, j).
+    """Link capacities, quantization noises and received powers of J targets.
 
-    Entry i of each array belongs to relay rank i of group k.  noises[i] is
-    the variance relay i adds on its forwarded observation (NO_RELAY when
-    the link is unusable, exactly 0 for the target's own unquantized
-    observation); caps[i] is the capacity that produced it (infinite for the
-    self link).  An array of J ranks gives three (J, n2) matrices, row r for
-    target j[r]; the powers do not depend on the target, so that matrix is a
-    read-only broadcast of one row.
+    Each result is a (J, n2) matrix whose row r belongs to target rank
+    ranks[r] of group k, and whose entry i belongs to relay rank i.
+    noises[r, i] is the variance relay i adds on its forwarded observation
+    (NO_RELAY when the link is unusable, exactly 0 for the target's own
+    unquantized observation); caps[r, i] is the capacity that produced it
+    (infinite for the self link).  The powers do not depend on the target,
+    so that matrix is a read-only broadcast of one row.
     """
     n2 = realization.n2_of(k)
     powers = received_power(realization, k, np.arange(n2), params.p0, params.alpha)
-    caps = link_capacity(realization, k, j, params)
+    caps = link_capacity(realization, k, ranks, params)
     noises = quantization_noise(powers, caps, params.delta, realization.n, n2)
     # The target's own observation is not quantized.
-    np.atleast_2d(noises)[np.arange(np.size(j)), j] = 0.0
+    noises[np.arange(ranks.size), ranks] = 0.0
     return caps, noises, np.broadcast_to(powers, noises.shape)
 
 
@@ -296,25 +288,23 @@ class DestinationRate:
 def achievable_rate(
     realization: NetworkRealization,
     k: int,
-    j: int | np.ndarray,
+    ranks: np.ndarray,
     params: NetworkParams,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    timings: dict[str, float] | None = None,
-) -> DestinationRate | list[DestinationRate]:
-    """Quantize-and-forward rate of destination rank j in group k.
+    rngs: Sequence[np.random.Generator],
+    timings: dict[str, float],
+) -> list[DestinationRate]:
+    """Quantize-and-forward rates of destination ranks `ranks` of group k.
 
-    Link capacities follow params.mode; the destination's own observation
-    enters with zero quantization noise (an infinite-capacity self-link).
-    Alongside the Monte Carlo rate the per-relay quantizer rates and
-    mutual-information bounds are recorded so a report can be audited against
-    the rate-constraint system (see check_rate_constraints).  An array of
-    ranks with one generator each rates that batch of group k's destinations
-    and returns one DestinationRate per rank, in order.  When `timings` is
-    given, the seconds spent on link capacities plus quantization noise and
-    on the Monte Carlo log-det are added to its "link" and "logdet" entries.
+    Rates the batch with one generator per rank and returns one
+    DestinationRate per rank, in order.  Link capacities follow params.mode;
+    each destination's own observation enters with zero quantization noise
+    (an infinite-capacity self-link).  Alongside the Monte Carlo rate the
+    per-relay quantizer rates and mutual-information bounds are recorded so a
+    report can be audited against the rate-constraint system (see
+    check_rate_constraints).  The seconds spent on link capacities plus
+    quantization noise and on the Monte Carlo log-det are added to the
+    "link" and "logdet" entries of `timings`.
     """
-    ranks = np.atleast_1d(j)
-    rngs = [rng] if np.ndim(j) == 0 else rng
     t0 = perf_counter()
     caps, noises, powers = noise_profile(realization, k, ranks, params)
     n = realization.n
@@ -339,11 +329,10 @@ def achievable_rate(
     rate, stderr, mean_logdet = quantized_mimo_rate(
         gamma, noises, params.p0, params.m, params.delta, n, params.trials, rngs
     )
-    if timings is not None:
-        timings["link"] = timings.get("link", 0.0) + t1 - t0
-        timings["logdet"] = timings.get("logdet", 0.0) + perf_counter() - t1
+    timings["link"] += t1 - t0
+    timings["logdet"] += perf_counter() - t1
     members = realization.group_members[k]
-    out = [
+    return [
         DestinationRate(
             group=k,
             rank=int(rank),
@@ -358,7 +347,6 @@ def achievable_rate(
         )
         for r, rank in enumerate(ranks)
     ]
-    return out if np.ndim(j) else out[0]
 
 
 def check_rate_constraints(

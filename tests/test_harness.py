@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from qfmimo import (
     run_sweep,
     write_csv,
 )
-from qfmimo.cli import load_config, main
+from qfmimo.cli import build_parser, load_config, main
 
 FAST = dict(trials=16, sample_size=4)
 
@@ -265,6 +265,19 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     cfg.write_text("m=4\nbogus=1\n")
     with pytest.raises(ConfigError):
         load_config(str(cfg))
+
+
+def test_every_network_param_has_flag_and_config_key(tmp_path):
+    # A NetworkParams field that gets no flag could be set from a config
+    # file only, or not at all.
+    params = fields(NetworkParams)
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{f.name}={f.default}\n" for f in params))
+    assert load_config(str(cfg)) == {f.name: str(f.default) for f in params}
+    parser = build_parser()
+    for f in params:
+        args = parser.parse_args([f"--{f.name.replace('_', '-')}", str(f.default)])
+        assert getattr(args, f.name) == f.default
 
 
 def test_cli_point_run_writes_csv(tmp_path):

@@ -204,18 +204,18 @@ def test_tdma4_no_two_active_groups_share_a_block():
 
 def test_link_capacity_dispatch():
     hier = NetworkParams(mode="hier", p1=1.0, alpha=4.0, epsilon=0.1, c2=2.0)
-    caps = link_capacity(LONE_GROUP, 0, 1, hier)
+    caps = link_capacity(LONE_GROUP, 0, np.array([1]), hier)[0]
     np.testing.assert_allclose(np.delete(caps, 1), 2.0 * 4**-0.1, rtol=1e-12)
     assert caps[1] == math.inf
 
-    caps = link_capacity(LONE_GROUP, 0, 1, EXACT_PARAMS)
+    caps = link_capacity(LONE_GROUP, 0, np.array([1]), EXACT_PARAMS)[0]
     assert caps.shape == (4,)
     assert caps[1] == math.inf
     assert caps[0] == pytest.approx(
         exact_sinr_capacity(LONE_GROUP, 0, (0, 1), EXACT_PARAMS)
     )
     with pytest.raises(ValueError):
-        link_capacity(LONE_GROUP, 0, 4, hier)
+        link_capacity(LONE_GROUP, 0, np.array([4]), hier)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def _assert_kernel_matches_reference(realization, params):
     for k in range(realization.n1):
         n2 = realization.n2_of(k)
         for j in range(n2):
-            caps = link_capacity(realization, k, j, params)
+            caps = link_capacity(realization, k, np.array([j]), params)[0]
             assert caps[j] == math.inf
             for i in range(n2):
                 if i == j:

@@ -32,6 +32,26 @@ TWO_MEMBER = realization_from_positions(
 )
 
 
+# The rate layer takes batches only; these rate a batch of one and unpack it.
+
+
+def _rate_one(gamma, noises, p0, m, delta, n, trials, rng):
+    rate, stderr, mean = quantized_mimo_rate(
+        gamma, noises[None], p0, m, delta, n, trials, [rng]
+    )
+    return rate[0], stderr[0], mean[0]
+
+
+def _logdet_one(row_scale, m, trials, rng):
+    mean, stderr = ergodic_logdet(row_scale[None], m, trials, [rng])
+    return mean[0], stderr[0]
+
+
+def _destination_rate(realization, k, j, params, rng):
+    timings = {"link": 0.0, "logdet": 0.0}
+    return achievable_rate(realization, k, np.array([j]), params, [rng], timings)[0]
+
+
 # ---------------------------------------------------------------------------
 # received power
 # ---------------------------------------------------------------------------
@@ -109,7 +129,7 @@ def test_noise_profile_shape_and_self_link():
     r = place_nodes(p, derive_rng(p.seed, 0))
     k = int(np.argmax([r.n2_of(g) for g in range(r.n1)]))
     j = r.n2_of(k) - 1
-    caps, noises, powers = noise_profile(r, k, j, p)
+    caps, noises, powers = (x[0] for x in noise_profile(r, k, np.array([j]), p))
     assert caps.shape == noises.shape == powers.shape == (r.n2_of(k),)
     assert noises[j] == 0.0
     assert caps[j] == math.inf
@@ -138,7 +158,7 @@ def test_noise_monotone_property(e_y2, c, bump):
 
 
 def test_rate_single_member_is_deterministic():
-    rate, stderr, mean = quantized_mimo_rate(
+    rate, stderr, mean = _rate_one(
         np.ones(1), np.zeros(1), p0=1.0, m=1, delta=0.5, n=1, trials=32,
         rng=derive_rng(0),
     )
@@ -150,31 +170,31 @@ def test_rate_single_member_is_deterministic():
 def test_rate_monotone_in_noise_at_fixed_phases():
     gamma = np.array([2.0, 1.5, 1.0])
     base = np.array([0.2, 0.5, 1.0])
-    r1, _, _ = quantized_mimo_rate(gamma, base, 1.0, 4, 0.5, 27, 64, derive_rng(5))
-    r2, _, _ = quantized_mimo_rate(gamma, base + 0.7, 1.0, 4, 0.5, 27, 64, derive_rng(5))
+    r1, _, _ = _rate_one(gamma, base, 1.0, 4, 0.5, 27, 64, derive_rng(5))
+    r2, _, _ = _rate_one(gamma, base + 0.7, 1.0, 4, 0.5, 27, 64, derive_rng(5))
     assert r2 < r1
 
 
 def test_quantized_never_beats_unquantized():
     gamma = np.array([3.0, 1.2, 1.0, 1.0])
-    clean, _, _ = quantized_mimo_rate(gamma, np.zeros(4), 1.0, 8, 0.5, 64, 64, derive_rng(9))
-    noisy, _, _ = quantized_mimo_rate(gamma, np.full(4, 2.0), 1.0, 8, 0.5, 64, 64, derive_rng(9))
+    clean, _, _ = _rate_one(gamma, np.zeros(4), 1.0, 8, 0.5, 64, 64, derive_rng(9))
+    noisy, _, _ = _rate_one(gamma, np.full(4, 2.0), 1.0, 8, 0.5, 64, 64, derive_rng(9))
     assert noisy < clean
 
 
 def test_no_relay_rows_are_dropped():
     gamma = np.array([1.0, 5.0])
-    with_drop, _, _ = quantized_mimo_rate(
+    with_drop, _, _ = _rate_one(
         gamma, np.array([0.0, NO_RELAY]), 1.0, 3, 0.5, 10, 16, derive_rng(4)
     )
-    alone, _, _ = quantized_mimo_rate(
+    alone, _, _ = _rate_one(
         gamma[:1], np.zeros(1), 1.0, 3, 0.5, 10, 16, derive_rng(4)
     )
     assert with_drop == alone
 
 
 def test_all_rows_dropped_gives_zero_rate():
-    rate, stderr, mean = quantized_mimo_rate(
+    rate, stderr, mean = _rate_one(
         np.ones(2), np.full(2, NO_RELAY), 1.0, 3, 0.5, 10, 16, derive_rng(4)
     )
     assert (rate, stderr, mean) == (0.0, 0.0, 0.0)
@@ -185,7 +205,7 @@ def test_rate_uses_small_side_of_product():
     gamma = np.array([2.0, 1.4, 1.1, 1.0, 1.0])
     noises = np.array([0.1, 0.3, 0.0, 0.9, 0.2])
     m, p0 = 2, 1.3
-    rate, _, _ = quantized_mimo_rate(gamma, noises, p0, m, 0.5, 25, 8, derive_rng(11))
+    rate, _, _ = _rate_one(gamma, noises, p0, m, 0.5, 25, 8, derive_rng(11))
     vals = []
     theta = phase_matrix(derive_rng(11), 8, 5, m)
     for t in range(8):
@@ -205,7 +225,7 @@ def test_logdet_independent_of_trial_block(monkeypatch, rows, m, trials):
     for entries in (1, 2**40):
         monkeypatch.setattr(qmimo, "_BLOCK_ENTRIES", entries)
         rng = derive_rng(8)
-        results.append((ergodic_logdet(row_scale, m, trials, rng), rng.bit_generator.state))
+        results.append((_logdet_one(row_scale, m, trials, rng), rng.bit_generator.state))
     (single, single_state), (whole, whole_state) = results
     assert single == pytest.approx(whole, rel=1e-13, abs=0.0)
     assert single_state == whole_state
@@ -216,7 +236,7 @@ def test_logdet_memory_independent_of_trials():
     # (1.6 MB here) scales with the trial count.
     tracemalloc.start()
     try:
-        ergodic_logdet(np.ones(1024), 32, 100, derive_rng(9))
+        ergodic_logdet(np.ones((1, 1024)), 32, 100, [derive_rng(9)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -228,9 +248,9 @@ def test_logdet_refuses_ill_conditioned_tall_gram():
     # det(I + S'S), while the rows x rows side stays accurate.
     row_scale = np.logspace(0.0, 8.0, 6)
     with pytest.raises(FloatingPointError):
-        ergodic_logdet(row_scale, 4, 8, derive_rng(10))
+        _logdet_one(row_scale, 4, 8, derive_rng(10))
     for m in (6, 8):
-        mean, stderr = ergodic_logdet(row_scale, m, 8, derive_rng(10))
+        mean, stderr = _logdet_one(row_scale, m, 8, derive_rng(10))
         assert math.isfinite(mean) and math.isfinite(stderr)
 
 
@@ -262,10 +282,7 @@ def test_real_form_gram_matches_complex_product(monkeypatch, threshold, rows, m,
     seeds = [20 + j for j in range(batch)]
     rngs = [derive_rng(seed) for seed in seeds]
     twins = [derive_rng(seed) for seed in seeds]
-    if batch == 1:
-        got = [ergodic_logdet(scales[0], m, trials, rngs[0])]
-    else:
-        got = list(zip(*ergodic_logdet(scales, m, trials, rngs)))
+    got = list(zip(*ergodic_logdet(scales, m, trials, rngs)))
     for (mean, stderr), scale, rng, twin in zip(got, scales, rngs, twins):
         ref_mean, ref_stderr = _complex_product_logdet(scale, m, trials, twin)
         assert mean == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
@@ -281,7 +298,7 @@ def test_real_form_gram_matches_complex_product(monkeypatch, threshold, rows, m,
 def test_single_destination_rate_exact():
     r = realization_from_positions(np.array([[0.5, 0.9]]), grid_side=1)
     p = NetworkParams(m=1, beta=1.0, p0=1.0, trials=16)
-    dr = achievable_rate(r, 0, 0, p, derive_rng(0))
+    dr = _destination_rate(r, 0, 0, p, derive_rng(0))
     assert dr.rate == pytest.approx(0.5 * math.log2(1.0 + p.p0))
     assert dr.noises[0] == 0.0
     assert dr.link_capacities[0] == math.inf
@@ -290,7 +307,7 @@ def test_single_destination_rate_exact():
 def _iid_surrogate(n2, m, p0, n_q_max, delta, n, trials, rng):
     """I.i.d. lower bound on the decode rate: unit gains and every
     quantization noise at the common worst case n_q_max."""
-    rate, _, _ = quantized_mimo_rate(
+    rate, _, _ = _rate_one(
         np.ones(n2), np.full(n2, float(n_q_max)), p0, m, delta, n, trials, rng
     )
     return rate
@@ -303,7 +320,7 @@ def test_iid_surrogate_single_antenna_exact():
 
 def test_iid_surrogate_with_zero_noise_is_unquantized():
     a = _iid_surrogate(3, 2, 1.0, 0.0, 0.5, 9, 32, derive_rng(2))
-    b, _, _ = quantized_mimo_rate(np.ones(3), np.zeros(3), 1.0, 2, 0.5, 9, 32, derive_rng(2))
+    b, _, _ = _rate_one(np.ones(3), np.zeros(3), 1.0, 2, 0.5, 9, 32, derive_rng(2))
     assert a == b
 
 
@@ -322,7 +339,7 @@ def test_bound_chain_surrogate_below_estimate():
     for dest in range(0, r.n, 7):
         k = int(r.group_of[dest])
         j = int(r.rank_of[dest])
-        dr = achievable_rate(r, k, j, p, derive_rng(p.seed, 5, dest))
+        dr = _destination_rate(r, k, j, p, derive_rng(p.seed, 5, dest))
         finite = dr.noises[np.isfinite(dr.noises)]
         n_q_max = float(finite.max()) if finite.size else 0.0
         surrogate = _iid_surrogate(
@@ -336,7 +353,7 @@ def test_achievable_rate_rejects_bad_rank():
     p = NetworkParams(m=2, beta=1.0)
     r = realization_from_positions(np.array([[0.2, 0.2], [0.3, 0.3]]), grid_side=1)
     with pytest.raises(ValueError):
-        achievable_rate(r, 0, 2, p, derive_rng(0))
+        _destination_rate(r, 0, 2, p, derive_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +495,8 @@ def _bits(x: float) -> str:
 
 
 def _reference_sum_rate(realization, params, rng, sample_size):
-    """sum_rate as a loop of scalar-rank achievable_rate calls, one generator
-    per destination, evaluated in sampling order."""
+    """sum_rate as a loop of achievable_rate calls on batches of one, one
+    generator per destination, evaluated in sampling order."""
     n = realization.n
     if sample_size >= n:
         chosen = np.arange(n)
@@ -491,7 +508,7 @@ def _reference_sum_rate(realization, params, rng, sample_size):
         gen = np.random.default_rng(int(seed))
         k = int(realization.group_of[dest])
         j = int(realization.rank_of[dest])
-        destinations.append(achievable_rate(realization, k, j, params, gen))
+        destinations.append(_destination_rate(realization, k, j, params, gen))
         generators.append(gen)
     worst = min(destinations, key=lambda dr: dr.rate)
     noises = np.concatenate([dr.noises for dr in destinations])
@@ -536,9 +553,9 @@ def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, bu
         monkeypatch.setattr(qmimo, "_BATCH_ENTRIES", budget)
     batches = []
 
-    def spy(realization, k, j, params, rng, timings=None):
-        batches.append((k, np.asarray(j).copy(), list(rng)))
-        return achievable_rate(realization, k, j, params, rng, timings)
+    def spy(realization, k, ranks, params, rngs, timings):
+        batches.append((k, np.asarray(ranks).copy(), list(rngs)))
+        return achievable_rate(realization, k, ranks, params, rngs, timings)
 
     ref_rng, new_rng = derive_rng(p.seed, 1), derive_rng(p.seed, 1)
     reference, ref_gens = _reference_sum_rate(r, p, ref_rng, sample_size)
@@ -580,24 +597,6 @@ def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, bu
     assert set(report.timings) == {"link", "logdet"}
 
 
-@pytest.mark.parametrize("mode", ["tdma", "hier"])
-def test_rank_arrays_equal_stacked_scalar_calls(mode):
-    p = NetworkParams(m=8, beta=2.5, alpha=3.0, p1=2.0, seed=4, mode=mode, trials=4)
-    r = place_nodes(p, derive_rng(p.seed, 0))
-    for k in range(0, r.n1, 7):
-        n2 = r.n2_of(k)
-        ranks = np.array([n2 - 1, 0, n2 // 2, 0], dtype=r.rank_of.dtype)
-        caps = link_capacity(r, k, ranks, p)
-        assert caps.shape == (ranks.size, n2)
-        want = np.stack([link_capacity(r, k, int(j), p) for j in ranks])
-        assert caps.tobytes() == want.tobytes()
-        profile = noise_profile(r, k, ranks, p)
-        scalar = [noise_profile(r, k, int(j), p) for j in ranks]
-        for got, parts in zip(profile, zip(*scalar)):
-            assert got.shape == (ranks.size, n2)
-            assert np.ascontiguousarray(got).tobytes() == np.stack(parts).tobytes()
-
-
 def test_rank_array_with_one_bad_rank_raises():
     p = NetworkParams(m=4, beta=2.0, seed=6)
     r = place_nodes(p, derive_rng(p.seed, 0))
@@ -609,7 +608,10 @@ def test_rank_array_with_one_bad_rank_raises():
         with pytest.raises(ValueError):
             noise_profile(r, k, np.array([bad]), p)
         with pytest.raises(ValueError):
-            achievable_rate(r, k, np.array([0, bad]), p, [derive_rng(0), derive_rng(1)])
+            achievable_rate(
+                r, k, np.array([0, bad]), p, [derive_rng(0), derive_rng(1)],
+                {"link": 0.0, "logdet": 0.0},
+            )
 
 
 # tracemalloc peak of the guarded sum_rate call below on the per-destination
