@@ -64,7 +64,8 @@ def mimo_ergodic_capacity_mc(
         raise ValueError("n_rx, m, and trials must all be >= 1")
     if p <= 0:
         raise ValueError(f"p must be > 0, got {p}")
-    mean, stderr = ergodic_logdet(np.full((1, n_rx), math.sqrt(p / m)), m, trials, [rng])
+    scale = np.full((1, n_rx), math.sqrt(p / m))
+    mean, stderr = ergodic_logdet(scale, m, trials, [rng], {"phase": 0.0, "gram": 0.0})
     return float(mean[0]), float(stderr[0])
 
 

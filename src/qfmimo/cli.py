@@ -148,15 +148,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        if m_list is None:
-            series = ScalingSeries(rows=[run_point(params).row()])
-        else:
-            try:
-                series = run_sweep(params, m_list, workers=workers)
-            except SweepFailure as exc:
-                _emit(exc.partial, settings.get("out"))
-                print(f"error: {exc}", file=sys.stderr)
-                return 3
+        # run_point rejects every non-finite output, so numpy's warnings on
+        # the way there would only precede the same failure's error line.
+        with np.errstate(all="ignore"):
+            if m_list is None:
+                series = ScalingSeries(rows=[run_point(params).row()])
+            else:
+                try:
+                    series = run_sweep(params, m_list, workers=workers)
+                except SweepFailure as exc:
+                    _emit(exc.partial, settings.get("out"))
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 3
         for row in series.rows:
             _log_point(row)
 

@@ -19,6 +19,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from time import perf_counter
 from typing import IO, Iterable
 
@@ -64,7 +65,7 @@ class SweepRow:
     """One CSV row of a sweep; runtime_seconds and the timings are not serialized.
 
     timings holds the place/rate/bound stage seconds, rate_timings the
-    link/logdet seconds spent inside the rate stage.
+    link/phase/gram seconds spent inside the rate stage.
     """
 
     m: int
@@ -109,8 +110,9 @@ class PointResult:
 
     timings holds wall seconds per stage: "place" (placement and grouping),
     "rate" (sum-rate estimate) and "bound" (cut-set upper bound), plus the
-    parts of the rate stage "link" (link capacities and quantization noise)
-    and "logdet" (phase draws, Gram matrices and log-dets).
+    parts of the rate stage "link" (link capacities and quantization noise),
+    "phase" (phase draws) and "gram" (row scaling, Gram matrices and
+    log-dets).
     """
 
     params: NetworkParams
@@ -137,7 +139,7 @@ class PointResult:
             runtime_seconds=self.runtime_seconds,
             seed=self.params.seed,
             timings={k: self.timings[k] for k in ("place", "rate", "bound")},
-            rate_timings={k: self.timings[k] for k in ("link", "logdet")},
+            rate_timings={k: self.timings[k] for k in ("link", "phase", "gram")},
         )
 
 
@@ -234,7 +236,8 @@ def run_sweep(
 ) -> ScalingSeries:
     """Run one point per m and assemble rows in ascending m order.
 
-    Points are independent, so any worker count yields identical rows.  If a
+    Points are independent, so any worker count yields identical rows, and
+    workers run under the caller's numpy floating-point error settings.  If a
     point fails, the completed rows are flushed into SweepFailure.partial.
     """
     m_list = [int(m) for m in m_list]
@@ -247,7 +250,12 @@ def run_sweep(
 
     rows: list[SweepRow] = []
     parallel = workers > 1 and len(m_list) > 1
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+    executor = (
+        ProcessPoolExecutor(max_workers=workers, initializer=partial(np.seterr, **np.geterr()))
+        if parallel
+        else nullcontext()
+    )
+    with executor as pool:
         points = (pool.map if parallel else map)(_run_point_row, [(params, m) for m in m_list])
         try:
             for row in points:

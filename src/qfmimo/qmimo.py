@@ -24,19 +24,24 @@ ergodic_logdet take J destinations (an array of ranks or a (J, n2) matrix)
 with one generator each, and return results with a leading axis of J.
 
 Phases are mapped from uniform draws through a 4096-entry table of roots of
-unity times a short Taylor polynomial for the remaining angle, which is
-several times faster than a complex exp and equal to it within 2e-15.  The
-log-det kernel draws phases and forms Gram matrices in blocks of trials of
-about 8192 phase entries, so the working set stays in cache and memory does
-not grow with the trial count beyond the (trials, k, k) Gram stack.  A Gram
-product of at least 2**16 complex multiply-adds per trial is formed from the
-interleaved (re, im) float view x of the phase block as the real symmetric
-product x^T x, one BLAS dsyrk with half the flops, and folded into complex
-form; OpenBLAS keeps that dsyrk on the calling thread for k < 64, where it
-would split the complex product across cores.  Smaller products stay one
-complex matmul.  A tall channel (more rows than antennas) whose row scales
-are so strongly graded that forming S'S would lose its small eigenvalues
-raises FloatingPointError instead of returning an inaccurate rate.
+unity times cos x + i sin x of the remaining angle x < 2 pi / 4096, taken as
+the Taylor polynomials 1 - x**2/2 + x**4/24 and x - x**3/6 (truncation errors
+below 2e-20 and 7.1e-17); this is several times faster than a complex exp and
+equal to it within 2e-15.  The draws are mapped in pieces of at most 2**14
+entries through a set of scratch arrays, and written into a caller-owned
+output buffer when one is given.  The log-det kernel draws phases and forms
+Gram matrices in blocks of trials of about 8192 phase entries, into one phase
+buffer and one scratch set per call, so the working set stays in cache and
+memory does not grow with the trial count beyond the (trials, k, k) Gram stack
+and one block of phases.  A Gram product of at least 2**16 complex
+multiply-adds per trial is formed from the interleaved (re, im) float view x
+of the phase block as the real symmetric product x^T x, one BLAS dsyrk with
+half the flops, and folded into complex form; OpenBLAS keeps that dsyrk on the
+calling thread for k < 64, where it would split the complex product across
+cores.  Smaller products stay one complex matmul.  A tall channel (more rows
+than antennas) whose row scales are so strongly graded that forming S'S would
+lose its small eigenvalues raises FloatingPointError instead of returning an
+inaccurate rate.
 """
 
 from __future__ import annotations
@@ -61,6 +66,14 @@ _LOG2 = math.log(2.0)
 # its integer and fractional parts is exact.
 _PHASE_TABLE = np.exp(2j * np.pi * np.arange(2**12) / 2**12)
 _PHASE_STEP = 2.0 * np.pi / _PHASE_TABLE.size
+# Taylor coefficients of cos x and sin x in the table-step fraction y of the
+# remaining angle x = _PHASE_STEP * y.
+_COS2, _COS4 = _PHASE_STEP**2 / 2.0, _PHASE_STEP**4 / 24.0
+_SIN3 = _PHASE_STEP**3 / 6.0
+
+# Phase entries phase_matrix maps per pass through its scratch arrays, whose
+# 48 bytes an entry (768 KiB) stay in a 2 MiB per-core L2 cache.
+_PIECE_ENTRIES = 2**14
 
 # Phase entries per trial block of ergodic_logdet (at least one trial).
 _BLOCK_ENTRIES = 2**13
@@ -86,41 +99,75 @@ _TALL_GRAM_LIMIT = 1e-3
 _BATCH_ENTRIES = 3 * 2**14
 
 
-def phase_matrix(rng: np.random.Generator, *shape: int) -> np.ndarray:
+def _phase_scratch(entries: int) -> tuple[np.ndarray, ...]:
+    """Working arrays for phase_matrix pieces of up to `entries` entries."""
+    size = max(1, min(entries, _PIECE_ENTRIES))
+    return (*np.empty((3, size)), np.empty(size, np.intp), np.empty(size, complex))
+
+
+def phase_matrix(
+    rng: np.random.Generator,
+    *shape: int,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, ...] | None = None,
+) -> np.ndarray:
     """Complex array of the given shape with unit-modulus i.i.d. phases.
 
     Fading enters only through these phases, uniform on [0, 2*pi) and redrawn
     on every sample; magnitudes are deterministic path losses.  Each entry is
-    exp(2 pi i u) for one uniform draw u, evaluated as a table root of unity
-    times the Taylor polynomial of the remaining angle x < 2 pi / 4096, whose
-    truncation error is below 1e-19.
+    exp(2 pi i u) for one uniform draw u, taken in C order, evaluated as a
+    table root of unity times cos x + i sin x for the remaining angle
+    x < 2 pi / 4096, with cos x = 1 - x**2/2 + x**4/24 and sin x = x - x**3/6
+    (truncation errors below 2e-20 and 7.1e-17).
+
+    The result is written into `out` when given (a C-contiguous complex
+    array of the shape) and returned; its bits and the generator's end state
+    are those of a fresh call.  The draws are mapped in pieces of at most
+    _PIECE_ENTRIES entries through `scratch`, working arrays from
+    _phase_scratch that a caller drawing many blocks allocates once.
     """
-    u = rng.random(shape)
-    u *= _PHASE_TABLE.size
-    idx = u.astype(np.intp)
-    u -= idx
-    u *= _PHASE_STEP
-    x2 = u * u
-    theta = np.empty(shape, dtype=complex)
-    # Both polynomials are evaluated in one scratch array, in the operation
-    # order of 1 - x2 (1/2 - x2/24) and x (1 - x2 (1/6 - x2/120)), so no
-    # other temporaries of the block's size are made.
-    t = np.divide(x2, 24.0)
-    np.subtract(0.5, t, out=t)
-    t *= x2
-    np.subtract(1.0, t, out=theta.real)
-    np.divide(x2, 120.0, out=t)
-    np.subtract(1.0 / 6.0, t, out=t)
-    t *= x2
-    np.subtract(1.0, t, out=t)
-    np.multiply(u, t, out=theta.imag)
-    del u, x2, t
-    theta *= _PHASE_TABLE.take(idx)
-    return theta
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
+    flat = out.reshape(-1)
+    if scratch is None:
+        scratch = _phase_scratch(flat.size)
+    piece = scratch[0].size
+    for lo in range(0, flat.size, piece):
+        theta = flat[lo : lo + piece]
+        y, y2, t, idx, roots = (
+            scratch if theta.size == piece else (a[: theta.size] for a in scratch)
+        )
+        rng.random(out=y)
+        y *= _PHASE_TABLE.size
+        # y2 holds the integer part until it is cast into idx.
+        np.floor(y, out=y2)
+        np.copyto(idx, y2, casting="unsafe")
+        y -= y2
+        np.multiply(y, y, out=y2)
+        # cos x = 1 - y2 (_COS2 - y2 _COS4) and sin x = y (_PHASE_STEP - y2
+        # _SIN3), through one scratch array.
+        np.multiply(y2, _COS4, out=t)
+        np.subtract(_COS2, t, out=t)
+        t *= y2
+        np.subtract(1.0, t, out=theta.real)
+        np.multiply(y2, _SIN3, out=t)
+        np.subtract(_PHASE_STEP, t, out=t)
+        np.multiply(y, t, out=theta.imag)
+        # Indices lie in [0, 4096), so clipping changes none; unlike the
+        # default mode it lets take write into `roots` without a buffer.
+        np.take(_PHASE_TABLE, idx, out=roots, mode="clip")
+        theta *= roots
+    return out
 
 
 def ergodic_logdet(
-    row_scale: np.ndarray, m: int, trials: int, rngs: Sequence[np.random.Generator]
+    row_scale: np.ndarray,
+    m: int,
+    trials: int,
+    rngs: Sequence[np.random.Generator],
+    timings: dict[str, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo means and standard errors of log2 det(I + S S'), one per channel.
 
@@ -128,11 +175,15 @@ def ergodic_logdet(
     with Th a fresh (rows, m) phase matrix per trial, drawn from rngs[r].
     Returns two (J,) arrays.  The determinant is evaluated on the smaller
     side of the product, and the channels' Gram matrices form one stack with
-    one slogdet call.  Trials are drawn in consecutive blocks, which consume
-    the same random stream as one draw of every trial.  Raises
+    one slogdet call.  Trials are drawn in consecutive blocks into one phase
+    buffer and one scratch set, reused across blocks and channels, which
+    consume the same random stream as one draw of every trial.  The seconds
+    spent drawing phases are added to timings["phase"], the rest (row
+    scaling, Gram products and slogdet) to timings["gram"].  Raises
     FloatingPointError when rows > m and a channel's row scales are too large
     for the m x m Gram S'S to resolve det(I + S'S).
     """
+    start = perf_counter()
     count, rows = row_scale.shape
     tall = rows > m
     for scale in row_scale if tall else ():
@@ -144,11 +195,16 @@ def ergodic_logdet(
     k = min(rows, m)
     real_form = max(rows, m) * k * k >= _REAL_FORM_MACS
     gram = np.empty((count, trials, k, k), dtype=complex)
-    block = max(1, _BLOCK_ENTRIES // (rows * m))
+    block = max(1, min(trials, _BLOCK_ENTRIES // (rows * m)))
+    phases = np.empty((block, rows, m), dtype=complex)
+    scratch = _phase_scratch(phases.size)
+    drawing = 0.0
     for out, scale, gen in zip(gram, row_scale, rngs):
         for lo in range(0, trials, block):
             hi = min(lo + block, trials)
-            s = phase_matrix(gen, hi - lo, rows, m)
+            t0 = perf_counter()
+            s = phase_matrix(gen, hi - lo, rows, m, out=phases[: hi - lo], scratch=scratch)
+            drawing += perf_counter() - t0
             s *= scale[:, None]
             if real_form:
                 # With x the (re, im)-interleaved float view of S (of a
@@ -168,6 +224,8 @@ def ergodic_logdet(
     vals = logdet / _LOG2
     mean = vals.mean(axis=-1)
     stderr = vals.std(ddof=1, axis=-1) / math.sqrt(trials) if trials > 1 else np.zeros(count)
+    timings["phase"] += drawing
+    timings["gram"] += perf_counter() - start - drawing
     return mean, stderr
 
 
@@ -219,6 +277,7 @@ def quantized_mimo_rate(
     n: int,
     trials: int,
     rngs: Sequence[np.random.Generator],
+    timings: dict[str, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo decode rates of J destinations of one group.
 
@@ -227,7 +286,7 @@ def quantized_mimo_rate(
     draws from rngs[r], with rows of NO_RELAY noise dropped.  Returns three (J,)
     arrays (rate, standard error, mean log-det), where rate = (delta/n) *
     mean log-det.  Destinations keeping the same number of rows share one
-    Gram stack (see ergodic_logdet).
+    Gram stack (see ergodic_logdet, which adds its seconds to `timings`).
     """
     keep = np.isfinite(noises)
     kept = keep.sum(axis=1)
@@ -241,7 +300,7 @@ def quantized_mimo_rate(
         mask = keep[sel]
         row_scale = scale * gamma[mask.nonzero()[1]] / np.sqrt(1.0 + noises[sel][mask])
         mean[sel], stderr[sel] = ergodic_logdet(
-            row_scale.reshape(sel.size, rows), m, trials, [rngs[i] for i in sel]
+            row_scale.reshape(sel.size, rows), m, trials, [rngs[i] for i in sel], timings
         )
     share = delta / n
     return share * mean, share * stderr, mean
@@ -302,8 +361,9 @@ def achievable_rate(
     per-relay quantizer rates and mutual-information bounds are recorded so a
     report can be audited against the rate-constraint system (see
     check_rate_constraints).  The seconds spent on link capacities plus
-    quantization noise and on the Monte Carlo log-det are added to the
-    "link" and "logdet" entries of `timings`.
+    quantization noise are added to timings["link"], those of the Monte
+    Carlo log-det to timings["phase"] and timings["gram"] (see
+    ergodic_logdet).
     """
     t0 = perf_counter()
     caps, noises, powers = noise_profile(realization, k, ranks, params)
@@ -325,12 +385,10 @@ def achievable_rate(
 
     d = realization.group_distances(k)
     gamma = (d[-1] / d) ** (params.alpha / 2.0)
-    t1 = perf_counter()
+    timings["link"] += perf_counter() - t0
     rate, stderr, mean_logdet = quantized_mimo_rate(
-        gamma, noises, params.p0, params.m, params.delta, n, params.trials, rngs
+        gamma, noises, params.p0, params.m, params.delta, n, params.trials, rngs, timings
     )
-    timings["link"] += t1 - t0
-    timings["logdet"] += perf_counter() - t1
     members = realization.group_members[k]
     return [
         DestinationRate(
@@ -401,8 +459,8 @@ class RateReport:
     minimizing destination.  n_max is the largest finite quantization noise
     seen, c_link_min the smallest relay-link capacity, self links excluded
     (NaN when no sampled destination has a relay).  timings holds the wall
-    seconds spent on link capacities plus quantization noise ("link") and on
-    phase draws, Gram matrices and log-dets ("logdet").
+    seconds spent on link capacities plus quantization noise ("link"), on
+    phase draws ("phase") and on Gram matrices and log-dets ("gram").
     """
 
     n: int
@@ -456,7 +514,7 @@ def sum_rate(
     order = np.argsort(groups, kind="stable")
     runs = np.split(order, np.flatnonzero(np.diff(groups[order])) + 1)
     destinations = [None] * chosen.size
-    timings = {"link": 0.0, "logdet": 0.0}
+    timings = {"link": 0.0, "phase": 0.0, "gram": 0.0}
     for run in runs:
         k = int(groups[run[0]])
         size = _batch_size(realization, k, params)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfmimo import derive_rng, phase_matrix, realization_from_positions
+from qfmimo import derive_rng, phase_matrix, qmimo, realization_from_positions
 
 M = 3
 
@@ -35,6 +35,39 @@ def test_phase_kernel_matches_complex_exp():
     reference = np.exp(2j * np.pi * twin.random(shape))
     assert np.abs(theta - reference).max() < 2e-15
     assert np.abs(np.abs(theta) - 1.0).max() < 1e-15
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_phase_buffer_reuse_matches_fresh_draws(monkeypatch):
+    # Draws written into a reused buffer through a reused scratch set, in
+    # pieces of an odd size that do not divide the array, are the bits of
+    # fresh calls and leave the generator in the same state.
+    shape = (6, 37, 11)
+    rng, twin = derive_rng(31), derive_rng(31)
+    fresh = [phase_matrix(twin, *shape) for _ in range(2)]
+    monkeypatch.setattr(qmimo, "_PIECE_ENTRIES", 1001)
+    out = np.full(shape, complex(np.nan, np.nan))
+    scratch = qmimo._phase_scratch(out.size)
+    for want in fresh:
+        got = phase_matrix(rng, *shape, out=out, scratch=scratch)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty((4, 3), complex), np.empty((3, 4)), np.empty((4, 3), complex).T],
+    ids=["shape", "dtype", "order"],
+)
+def test_phase_buffer_must_fit(out):
+    with pytest.raises(ValueError):
+        phase_matrix(derive_rng(0), 3, 4, out=out)
+
+
+def test_empty_phase_matrix_draws_nothing():
+    rng, twin = derive_rng(3), derive_rng(3)
+    assert phase_matrix(rng, 0, M).shape == (0, M)
     assert rng.bit_generator.state == twin.bit_generator.state
 
 

@@ -410,6 +410,25 @@ def test_cli_csv_bytes_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--m", "4", "--beta", "3", "--p1", "1e308"],
+     ["--sweep", "3,4", "--beta", "2", "--p0", "1e308", "--workers", "2"]],
+    ids=["point", "sweep_workers_2"],
+)
+def test_cli_numerical_failure_prints_only_its_error(tmp_path, flags):
+    # Overflow on the way to a non-finite output is reported once, by the
+    # error line, not also by numpy warnings; workers inherit the setting.
+    done = subprocess.run(
+        [sys.executable, "-m", "qfmimo.cli", *flags, "--trials", "4", "--sample-size", "4",
+         "--out", str(tmp_path / "fail.csv")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_cli_logs_stage_timings_outside_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["--sweep", "2,3", "--beta", "2", "--seed", "5", "--out", str(out),
@@ -463,19 +482,19 @@ def test_cli_fit_preconditions_exit_2_before_any_point(monkeypatch, tmp_path, ar
     assert not out.exists()
 
 
-def test_rate_stage_split_into_link_and_logdet(tmp_path, capsys):
+def test_rate_stage_split_into_link_phase_and_gram(tmp_path, capsys):
     p = NetworkParams(m=3, beta=2.0, seed=5, trials=8, sample_size=4)
     timings = run_point(p).timings
-    assert list(timings) == ["place", "rate", "bound", "link", "logdet"]
+    assert list(timings) == ["place", "rate", "bound", "link", "phase", "gram"]
     assert all(v >= 0.0 for v in timings.values())
-    assert timings["link"] + timings["logdet"] <= timings["rate"]
+    assert timings["link"] + timings["phase"] + timings["gram"] <= timings["rate"]
     out = tmp_path / "point.csv"
     assert main(["--m", "3", "--beta", "2", "--seed", "5", "--trials", "8",
                  "--sample-size", "4", "--out", str(out)]) == 0
     (line,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("point m=")]
     inner = line.split("(", 1)[1].split(")", 1)[0]
     parts = dict(tok.split("=") for tok in inner.split("in rate:")[1].split())
-    assert list(parts) == ["link", "logdet"]
+    assert list(parts) == ["link", "phase", "gram"]
     assert all(float(v.rstrip("s")) >= 0.0 for v in parts.values())
     # The CSV carries no clock: runtime_s stays the 0.0 placeholder.
     assert out.read_text().splitlines()[1].split(",")[-2] == "0.0"

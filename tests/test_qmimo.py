@@ -35,21 +35,24 @@ TWO_MEMBER = realization_from_positions(
 # The rate layer takes batches only; these rate a batch of one and unpack it.
 
 
+def _timings():
+    return {"link": 0.0, "phase": 0.0, "gram": 0.0}
+
+
 def _rate_one(gamma, noises, p0, m, delta, n, trials, rng):
     rate, stderr, mean = quantized_mimo_rate(
-        gamma, noises[None], p0, m, delta, n, trials, [rng]
+        gamma, noises[None], p0, m, delta, n, trials, [rng], _timings()
     )
     return rate[0], stderr[0], mean[0]
 
 
 def _logdet_one(row_scale, m, trials, rng):
-    mean, stderr = ergodic_logdet(row_scale[None], m, trials, [rng])
+    mean, stderr = ergodic_logdet(row_scale[None], m, trials, [rng], _timings())
     return mean[0], stderr[0]
 
 
 def _destination_rate(realization, k, j, params, rng):
-    timings = {"link": 0.0, "logdet": 0.0}
-    return achievable_rate(realization, k, np.array([j]), params, [rng], timings)[0]
+    return achievable_rate(realization, k, np.array([j]), params, [rng], _timings())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +239,28 @@ def test_logdet_memory_independent_of_trials():
     # (1.6 MB here) scales with the trial count.
     tracemalloc.start()
     try:
-        ergodic_logdet(np.ones((1, 1024)), 32, 100, [derive_rng(9)])
+        ergodic_logdet(np.ones((1, 1024)), 32, 100, [derive_rng(9)], _timings())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_tall_logdet_memory_holds_one_trial_of_phases():
+    # One 1485 x 128 channel, as at m = 128: beyond the (trials, m, m) Gram
+    # stack and one trial's phase buffer, the kernel may hold only a scratch
+    # set of bounded size, never a temporary the size of the phase matrix.
+    rows, m, trials = 1485, 128, 4
+    gram_bytes = trials * m * m * 16
+    phase_bytes = rows * m * 16
+    scale = np.full((1, rows), 0.05)
+    tracemalloc.start()
+    try:
+        ergodic_logdet(scale, m, trials, [derive_rng(12)], _timings())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < gram_bytes + phase_bytes + 2**21
 
 
 def test_logdet_refuses_ill_conditioned_tall_gram():
@@ -282,7 +302,7 @@ def test_real_form_gram_matches_complex_product(monkeypatch, threshold, rows, m,
     seeds = [20 + j for j in range(batch)]
     rngs = [derive_rng(seed) for seed in seeds]
     twins = [derive_rng(seed) for seed in seeds]
-    got = list(zip(*ergodic_logdet(scales, m, trials, rngs)))
+    got = list(zip(*ergodic_logdet(scales, m, trials, rngs, _timings())))
     for (mean, stderr), scale, rng, twin in zip(got, scales, rngs, twins):
         ref_mean, ref_stderr = _complex_product_logdet(scale, m, trials, twin)
         assert mean == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
@@ -594,7 +614,7 @@ def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, bu
     assert report.n == reference.n
     for name in ("r_ind", "r_sum", "r_sum_stderr", "n_max", "c_link_min"):
         assert _bits(getattr(report, name)) == _bits(getattr(reference, name))
-    assert set(report.timings) == {"link", "logdet"}
+    assert set(report.timings) == {"link", "phase", "gram"}
 
 
 def test_rank_array_with_one_bad_rank_raises():
@@ -610,7 +630,7 @@ def test_rank_array_with_one_bad_rank_raises():
         with pytest.raises(ValueError):
             achievable_rate(
                 r, k, np.array([0, bad]), p, [derive_rng(0), derive_rng(1)],
-                {"link": 0.0, "logdet": 0.0},
+                _timings(),
             )
 
 
