@@ -2,11 +2,12 @@
 
 A run places one multi-antenna source at the center and n = round(m**beta)
 single-antenna destinations uniformly at random, partitions the square into
-a grid of equal cells, and groups destinations by cell: a sort by distance
-to the source (equal distances in index order), then a stable radix sort by
-group id.  Group members are therefore kept sorted by source distance; the
-farthest member of a group sets the reference path loss used by the rate
-modules.
+a grid of equal cells, and groups destinations by cell with one sort of the
+key group * span + source distance (span a power of two above every
+distance), whose equal keys are then put in (group, distance, index) order.
+Group members are therefore kept sorted by source distance, ties in index
+order; the farthest member of a group sets the reference path loss used by
+the rate modules.
 """
 
 from __future__ import annotations
@@ -103,8 +104,12 @@ class NetworkRealization:
 
     Treated as immutable after construction; safe to share across workers.
     dest_pos is (n, 2); group_members[k] lists destination indices of group k
-    in ascending distance to the source; group_cells[k] is the (row, col) of
-    the cell hosting group k; cell_counts covers every cell, empty ones too.
+    in ascending distance to the source, equal distances in index order, as
+    views into one sorted index array; group_cells[k] is the (row, col) of
+    the cell hosting group k, groups numbered in row-major cell order;
+    cell_counts covers every cell, empty ones too.  group_of and rank_of give
+    each destination's group and its position in that group, in the
+    narrowest unsigned dtypes that hold them.
     """
 
     source_pos: np.ndarray
@@ -167,7 +172,15 @@ def realization_from_positions(
     # min/max propagate NaN, so this also rejects non-finite coordinates.
     if not (dest_pos.min() >= 0.0 and dest_pos.max() <= 1.0):
         raise ValueError("destination coordinates must be finite and lie in [0, 1]")
-    return _group(dest_pos, g, src, _source_dist(dest_pos, src))
+    with np.errstate(over="ignore"):
+        source_dist = _source_dist(dest_pos, src)
+    # NaN and inf propagate through max; a finite source so far away that
+    # its distances overflow (beyond about 1e154) is rejected as well.
+    if not np.isfinite(source_dist.max()):
+        raise ValueError(
+            f"source position must be finite with finite distances, got {tuple(src.tolist())}"
+        )
+    return _group(dest_pos, g, src, source_dist)
 
 
 def _group(
@@ -175,31 +188,38 @@ def _group(
 ) -> NetworkRealization:
     """Grid/group bookkeeping for checked positions and their source distances."""
     n = dest_pos.shape[0]
-    # Points exactly on the upper/right boundary fold into the last cell.
-    cell_id = np.minimum((dest_pos[:, 1] * g).astype(int), g - 1)
+    # Points exactly on the upper/right boundary fold into the last cell:
+    # floor(min(x * g, g - 1)) is min(floor(x * g), g - 1).
+    cell_dtype = np.min_scalar_type(g * g - 1)
+    scaled = dest_pos[:, 1] * g
+    cell_id = np.minimum(scaled, g - 1, out=scaled).astype(cell_dtype)
     cell_id *= g
-    cell_id += np.minimum((dest_pos[:, 0] * g).astype(int), g - 1)
+    np.multiply(dest_pos[:, 0], g, out=scaled)
+    cell_id += np.minimum(scaled, g - 1, out=scaled).astype(cell_dtype)
+    del scaled
     counts = np.bincount(cell_id, minlength=g * g)
     occupied = np.flatnonzero(counts)
-    # The narrowest unsigned group id keeps group_of small and lets the
-    # group sort below run as a radix sort (numpy does so up to 16 bits).
+    # The narrowest unsigned group id keeps group_of small at large n.
     group_id = np.zeros(g * g, dtype=np.min_scalar_type(occupied.size - 1))
     group_id[occupied] = np.arange(occupied.size)
     group_of = group_id[cell_id]
     del cell_id  # keeps peak memory down at large n
 
-    # Sort by source distance with the fast unstable sort, then put each run
-    # of equal distances back in index order, as a stable sort would leave
-    # it; a stable radix sort by group id then gives the (group, distance,
-    # index) order.
-    order = np.argsort(source_dist)
-    sorted_dist = source_dist[order]
-    same = sorted_dist[1:] == sorted_dist[:-1]
-    del sorted_dist
-    tied = np.flatnonzero(np.concatenate(([False], same)) | np.concatenate((same, [False])))
-    runs = order[tied]
-    order[tied] = runs[np.lexsort((runs, source_dist[runs]))]
-    order = order[np.argsort(group_of[order], kind="stable")]
+    # One sort of group * span + distance gives the (group, distance) order:
+    # with span a power of two above every distance, group * span is exact
+    # and rounding is monotone, so keys can only tie, never invert.  Runs of
+    # equal keys are then put in (group, distance, index) order.
+    span = math.ldexp(1.0, math.frexp(float(source_dist.max()))[1])
+    key = group_of * span
+    key += source_dist
+    order = np.argsort(key)
+    key.sort()
+    same = key[1:] == key[:-1]
+    if same.any():
+        tied = np.flatnonzero(np.concatenate(([False], same)) | np.concatenate((same, [False])))
+        runs = order[tied]
+        order[tied] = runs[np.lexsort((runs, source_dist[runs], group_of[runs], key[tied]))]
+    del key, same
     sizes = counts[occupied]
     starts = np.cumsum(sizes) - sizes
     # Ranks in group order are a running count that restarts at each group

@@ -223,6 +223,61 @@ def test_positions_outside_unit_square_rejected(pos):
         realization_from_positions(np.array(pos), grid_side=2)
 
 
+@pytest.mark.parametrize(
+    "source",
+    [(float("nan"), 0.5), (float("inf"), 0.5), (0.5, float("-inf")), (1e200, 0.5)],
+    ids=["nan", "inf", "minus_inf", "distances_overflow"],
+)
+def test_non_finite_source_rejected(source):
+    with pytest.raises(ValueError, match="source position must be finite"):
+        realization_from_positions(np.array([(0.3, 0.3)]), grid_side=2, source_pos=source)
+
+
+def _assert_lexsort_grouping(r):
+    """Groups and ranks follow the (group, distance, index) order."""
+    order = np.lexsort((np.arange(r.n), r.source_dist, r.group_of))
+    assert np.array_equal(np.concatenate(r.group_members), order)
+    ranks = np.concatenate([np.arange(len(mem)) for mem in r.group_members])
+    assert np.array_equal(r.rank_of[order], ranks)
+
+
+@pytest.mark.parametrize("side, group_dtype", [(8, np.uint8), (257, np.uint32)])
+def test_sub_ulp_distances_in_a_high_group_stay_ordered(side, group_dtype):
+    # Points on the source's row at x - 0.5 = d have source distance d
+    # exactly, so consecutive x give distances one ulp of x apart.  In group
+    # (side // 2) * side + col that is far below one ulp of the sort key, so
+    # the keys collide; listing the points farthest first means only the
+    # repair of equal keys can put them in distance order.
+    centers = (np.arange(side) + 0.5) / side
+    lattice = np.stack(np.meshgrid(centers, centers), axis=-1).reshape(-1, 2)
+    xs = 0.95 + np.arange(16)[::-1] * np.spacing(0.95)
+    ray = np.stack([xs, np.full(16, 0.5)], axis=-1)
+    r = realization_from_positions(np.concatenate([lattice, ray]), grid_side=side)
+    assert r.group_of.dtype == group_dtype
+    assert r.n1 == side * side
+    ray_dist = r.source_dist[side * side:]
+    assert np.array_equal(ray_dist, xs - 0.5)
+    assert np.unique(ray_dist).size == 16
+    _assert_lexsort_grouping(r)
+
+
+@pytest.mark.parametrize("source", [(0.0, 0.0), (-1.0, 2.0), (40.0, -30.0)])
+def test_grouping_with_distances_beyond_one(source):
+    # From the corner, distances reach sqrt(2).  From (-1, 2), (0.99, 0.01)
+    # in group 1 of the 2 x 2 grid is 1.39 farther than (0.01, 0.99) in
+    # group 2, so a span of 1 would sort them across groups.  From (40, -30)
+    # every distance is near 50.
+    rng = np.random.default_rng(11)
+    pos = np.concatenate([
+        rng.random((3000, 2)),
+        rng.integers(0, 9, size=(1000, 2)) / 8,
+        [(0.99, 0.01), (0.01, 0.99)],
+    ])
+    r = realization_from_positions(pos, grid_side=2, source_pos=source)
+    assert r.source_dist.max() > 1.0
+    _assert_lexsort_grouping(r)
+
+
 def _full_recheck_placement(params, rng):
     """Reference rejection loop: recheck every destination on each pass."""
     pos = rng.random((params.n, 2))
@@ -283,11 +338,8 @@ def test_rank_of_uses_narrowest_unsigned_type(size, dtype):
 
 def test_distance_ties_keep_index_order_at_scale():
     # Lattice points give long runs of equal distances; at this size the
-    # unstable distance sort scrambles them, so index order must be restored.
+    # unstable key sort scrambles them, so index order must be restored.
     rng = np.random.default_rng(5)
     pos = rng.integers(0, 13, size=(40_000, 2)) / 12
     r = realization_from_positions(pos, grid_side=3)
-    order = np.lexsort((r.source_dist, r.group_of))
-    assert np.array_equal(np.concatenate(r.group_members), order)
-    ranks = np.concatenate([np.arange(len(mem)) for mem in r.group_members])
-    assert np.array_equal(r.rank_of[order], ranks)
+    _assert_lexsort_grouping(r)
