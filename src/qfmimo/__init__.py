@@ -37,7 +37,6 @@ from .linkrate import (
     hier_capacity,
     link_capacity,
     riemann_zeta,
-    tdma4_active_groups,
     tdma_worst_case_capacity,
 )
 from .netgeom import (
@@ -106,7 +105,6 @@ __all__ = [
     "run_point",
     "run_sweep",
     "sum_rate",
-    "tdma4_active_groups",
     "tdma_worst_case_capacity",
     "write_csv",
 ]

@@ -5,13 +5,16 @@ Single-point evaluations and m-sweeps share one flat configuration: defaults
 a CSV on --out (stdout when omitted); timing and fit summaries go to stderr
 so the CSV stays byte-reproducible.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Exit codes: 0 success, 2 invalid configuration (an --out path that cannot
+be written included, found before any point runs), 3 numerical failure or
+a size too large for memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -143,6 +146,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--fit needs a --sweep with at least 3 points")
         if fit_model == "m_log_m_ratio" and min(m_list) < 2:
             raise ConfigError("--fit m_log_m_ratio needs every m >= 2 (log2 m must be > 0)")
+        out = settings.get("out")
+        if out:
+            # An unwritable CSV path fails now, not after every point has run.
+            folder = os.path.dirname(os.path.abspath(out))
+            if os.path.isdir(out) or not os.access(out if os.path.exists(out) else folder, os.W_OK):
+                raise ConfigError(f"--out {out} is not a writable file path")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -157,13 +166,13 @@ def main(argv: list[str] | None = None) -> int:
                 try:
                     series = run_sweep(params, m_list, workers=workers)
                 except SweepFailure as exc:
-                    _emit(exc.partial, settings.get("out"))
+                    _emit(exc.partial, out)
                     print(f"error: {exc}", file=sys.stderr)
                     return 3
         for row in series.rows:
             _log_point(row)
 
-        _emit(series, settings.get("out"))
+        _emit(series, out)
 
         if fit_model:
             fit = fit_scaling(series, str(fit_model))
@@ -181,9 +190,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         # A ValueError past configuration is a numerical failure inside a
-        # point, as run_sweep already treats it.
+        # point, and a MemoryError a size no machine holds, as run_sweep
+        # already treats them.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

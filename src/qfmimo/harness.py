@@ -237,8 +237,10 @@ def run_sweep(
     """Run one point per m and assemble rows in ascending m order.
 
     Points are independent, so any worker count yields identical rows, and
-    workers run under the caller's numpy floating-point error settings.  If a
-    point fails, the completed rows are flushed into SweepFailure.partial.
+    workers run under the caller's numpy floating-point error settings; the
+    pool never starts more workers than there are points.  If a point fails
+    (a size too large for memory included), the completed rows are flushed
+    into SweepFailure.partial.
     """
     m_list = [int(m) for m in m_list]
     if not m_list:
@@ -251,7 +253,9 @@ def run_sweep(
     rows: list[SweepRow] = []
     parallel = workers > 1 and len(m_list) > 1
     executor = (
-        ProcessPoolExecutor(max_workers=workers, initializer=partial(np.seterr, **np.geterr()))
+        ProcessPoolExecutor(
+            max_workers=min(workers, len(m_list)), initializer=partial(np.seterr, **np.geterr())
+        )
         if parallel
         else nullcontext()
     )
@@ -260,7 +264,9 @@ def run_sweep(
         try:
             for row in points:
                 rows.append(row)
-        except (NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except (
+            NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError
+        ) as exc:
             raise SweepFailure(
                 f"sweep point m={m_list[len(rows)]} failed: {exc}",
                 partial=ScalingSeries(rows=rows),

@@ -4,12 +4,15 @@ Within a group of n2 destinations, every ordered pair must exchange one
 quantized observation.  The exchange takes n2 - 1 slots: while pair (i, j)
 is served, rank i of every co-active group transmits (a smaller group's last
 member stands in for missing ranks).  Groups reuse the spectrum under a
-4-cell activation pattern where one cell out of every 2x2 block is active at
-a time.  Link capacities are computed for a batch of receivers of one group
-and every transmitter rank at once, under the relay discipline
+4-cell activation pattern: the cell grid is colored by (row mod 2, col mod 2)
+and a slot activates one color class, so one cell out of every 2x2 block is
+active at a time.  Link capacities are computed for a batch of receivers of
+one group and every transmitter rank at once, under the relay discipline
 NetworkParams.mode selects:
 
-* "tdma": exact-geometry SINR under the 4-cell reuse pattern,
+* "tdma": exact-geometry SINR under the 4-cell reuse pattern, from one
+  table of the rank-i transmitters of the group and its co-active groups
+  and one array of their squared distances to every receiver,
 * "hier": the hierarchical-cooperation per-node rate guarantee
   c2 * n2**(-epsilon).
 
@@ -76,30 +79,13 @@ def hier_capacity(n2: int, epsilon: float, c2: float) -> float:
     return c2 * n2 ** (-epsilon)
 
 
-def tdma4_active_groups(realization: NetworkRealization, k: int) -> list[int]:
-    """Groups sharing group k's activation slot (k included).
-
-    The cell grid is 4-colored by (row mod 2, col mod 2); a slot activates
-    one color class, so exactly one cell per 2x2 block is ever active at a
-    time.
-    """
-    row, col = realization.group_cells[k]
-    color = (row & 1, col & 1)
-    return [
-        g
-        for g, (r, c) in enumerate(realization.group_cells)
-        if (r & 1, c & 1) == color
-    ]
-
-
 def _exact_sinr_capacities(
     realization: NetworkRealization, k: int, ranks: np.ndarray, params: NetworkParams
 ) -> np.ndarray:
     """Exact-geometry capacities of every in-group link into each rank of `ranks`.
 
-    While pair (i, j) is served in group k, the rank-i member of every other
-    co-active group transmits as well (clamped to the last member when a
-    group is smaller), so
+    While pair (i, j) is served in group k, the rank-i member of every
+    co-active group l transmits as well, so
 
         SINR_i = p1 |h_ij|**2 / (1 + p1 * sum_l |h_l|**2).
 
@@ -108,36 +94,30 @@ def _exact_sinr_capacities(
     value.  The in-set TDMA share contributes the 1/n2 prefactor, and every
     entry is >= 0 by construction.  Row r holds the capacities of links
     i -> ranks[r] for all ranks i at once; its entry ranks[r], the receiver's
-    own observation, is infinite.  The co-active transmitters are looked up
-    once for all receivers.  The SINR reads p1 and alpha from `params`;
+    own observation, is infinite.  The SINR reads p1 and alpha from `params`;
     callers check that every rank belongs to group k.
     """
     members = realization.group_members[k]
     n2 = members.size
+    cells = np.asarray(realization.group_cells)
+    co_active = np.flatnonzero(((cells & 1) == (cells[k] & 1)).all(axis=1))
+    groups = np.concatenate(([k], co_active[co_active != k]))
+    # tx[i, c] is the rank-min(i, size - 1) member of groups[c], group k first.
+    sizes = realization.cell_counts[cells[groups, 0], cells[groups, 1]]
+    starts = np.cumsum(sizes) - sizes
+    flat = np.concatenate([realization.group_members[l] for l in groups])
+    tx = flat[starts + np.minimum(np.arange(n2)[:, None], sizes - 1)]
     pos = realization.dest_pos
-    rx = pos[members[ranks]]
     rows = np.arange(ranks.size)
-    sig_dist = np.linalg.norm(pos[members] - rx[:, None], axis=-1)
+    x, y = np.take(pos, tx, axis=0).transpose(2, 0, 1)
+    rx, ry = pos[members[ranks]].T[..., None, None]
+    dist2 = (x - rx) ** 2 + (y - ry) ** 2
     # Each row holds its receiver's own zero distance; any other zero is a clash.
-    if np.count_nonzero(sig_dist == 0.0) > ranks.size:
+    if np.count_nonzero(dist2 == 0.0) > ranks.size:
         raise ValueError("transmitter and receiver share a position")
-    sig_dist[rows, ranks] = 1.0  # any positive value: the self link is overwritten below
-
-    others = [l for l in tdma4_active_groups(realization, k) if l != k]
-    if others:
-        # tx[i, c] is the rank-min(i, size - 1) member of co-active group c.
-        sizes = np.array([realization.n2_of(l) for l in others])
-        starts = np.cumsum(sizes) - sizes
-        flat = np.concatenate([realization.group_members[l] for l in others])
-        tx = flat[starts + np.minimum(np.arange(n2)[:, None], sizes - 1)]
-        dist = np.linalg.norm(pos[tx] - rx[:, None, None], axis=-1)
-        if not dist.all():
-            raise ValueError("interferer and receiver share a position")
-        interference = (params.p1 * dist**-params.alpha).sum(axis=-1)
-    else:
-        interference = np.zeros(sig_dist.shape)
-
-    sinr = params.p1 * sig_dist**-params.alpha / (1.0 + interference)
+    dist2[rows, ranks, 0] = 1.0  # any positive value: the self link is overwritten below
+    gain = params.p1 * dist2 ** (-params.alpha / 2.0)
+    sinr = gain[..., 0] / (1.0 + gain[..., 1:].sum(axis=-1))
     caps = np.log2(1.0 + sinr) / n2
     caps[rows, ranks] = math.inf
     return caps

@@ -137,8 +137,13 @@ def test_sweep_flushes_partial_rows_on_failure(monkeypatch):
 
     real_run_point = harness.run_point
     p = NetworkParams(beta=2.0, seed=2, **FAST)
-    # NumericalError is what run_point's finiteness guard raises.
-    for error in (ValueError("forced point failure"), NumericalError("non-finite output")):
+    # NumericalError is what run_point's finiteness guard raises; MemoryError
+    # what numpy raises for a size too large for memory.
+    for error in (
+        ValueError("forced point failure"),
+        NumericalError("non-finite output"),
+        MemoryError("Unable to allocate 14.2 PiB"),
+    ):
 
         def explode_on_m3(params, error=error):
             if params.m == 3:
@@ -150,6 +155,36 @@ def test_sweep_flushes_partial_rows_on_failure(monkeypatch):
             run_sweep(p, [2, 3, 4])
         assert [r.m for r in exc.value.partial.rows] == [2]
         assert "m=3" in str(exc.value)
+
+
+def test_sweep_pool_capped_at_point_count(monkeypatch):
+    import qfmimo.harness as harness
+
+    pool_sizes = []
+
+    class InProcessPool:
+        # Records the pool size and maps in this process: no worker starts.
+        def __init__(self, max_workers, initializer):
+            pool_sizes.append(max_workers)
+            initializer()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    p = NetworkParams(beta=2.0, seed=13, **FAST)
+    serial = [r.to_csv() for r in run_sweep(p, [2, 3, 4]).rows]
+    assert pool_sizes == []
+    for workers, size in ((8, 3), (100_000, 3), (2, 2)):
+        rows = run_sweep(p, [2, 3, 4], workers=workers).rows
+        assert pool_sizes.pop() == size
+        assert [r.to_csv() for r in rows] == serial
 
 
 def test_upper_bound_grows_with_m_on_this_seed():
@@ -344,6 +379,24 @@ def test_cli_numerical_failure_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_cli_unwritable_out_exits_2_before_any_point(monkeypatch, tmp_path, capsys, target):
+    import qfmimo.cli
+    import qfmimo.harness
+
+    def no_point(*args, **kwargs):
+        raise AssertionError("run_point called")
+
+    monkeypatch.setattr(qfmimo.harness, "run_point", no_point)
+    monkeypatch.setattr(qfmimo.cli, "run_point", no_point)
+    out = tmp_path / "missing" / "out.csv" if target == "missing_dir" else tmp_path
+    for argv in (["--m", "2"], ["--sweep", "2,3"]):
+        assert main([*argv, "--beta", "2", "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def _knob(low: float):
     # Moderate values reach exit 0; the wide range reaches overflow.
     return st.one_of(st.floats(low, 10.0), st.floats(low, 1e308))
@@ -413,12 +466,15 @@ def test_cli_csv_bytes_independent_of_blas_threads(tmp_path):
 @pytest.mark.parametrize(
     "flags",
     [["--m", "4", "--beta", "3", "--p1", "1e308"],
-     ["--sweep", "3,4", "--beta", "2", "--p0", "1e308", "--workers", "2"]],
-    ids=["point", "sweep_workers_2"],
+     ["--sweep", "3,4", "--beta", "2", "--p0", "1e308", "--workers", "2"],
+     ["--m", "100000", "--beta", "3"]],
+    ids=["point", "sweep_workers_2", "out_of_memory"],
 )
 def test_cli_numerical_failure_prints_only_its_error(tmp_path, flags):
     # Overflow on the way to a non-finite output is reported once, by the
     # error line, not also by numpy warnings; workers inherit the setting.
+    # n = 10**15 destinations ask numpy for 14.2 PiB, more than any 47-bit
+    # address space holds, so that allocation fails at once.
     done = subprocess.run(
         [sys.executable, "-m", "qfmimo.cli", *flags, "--trials", "4", "--sample-size", "4",
          "--out", str(tmp_path / "fail.csv")],

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from qfmimo import (
     derive_rng,
     realization_from_positions,
     riemann_zeta,
-    tdma4_active_groups,
     tdma_worst_case_capacity,
 )
 
@@ -136,6 +136,20 @@ def test_invalid_pairs_rejected():
             exact_sinr_capacity(LONE_GROUP, 0, pair, EXACT_PARAMS)
 
 
+def _co_active(realization, k):
+    """Groups sharing group k's activation slot (k included).
+
+    The 4-cell reuse pattern colors cell (row, col) by (row mod 2, col mod 2)
+    and a slot activates one color class.
+    """
+    row, col = realization.group_cells[k]
+    return [
+        g
+        for g, (r, c) in enumerate(realization.group_cells)
+        if (r - row) % 2 == 0 and (c - col) % 2 == 0
+    ]
+
+
 def _two_group_realization(co_active: bool):
     # Group A in cell (0,0) of a 4x4 grid; group B lands in cell (0,2)
     # (same activation color as A) or cell (0,1) (different color).
@@ -147,8 +161,8 @@ def _two_group_realization(co_active: bool):
 def test_co_active_interferer_reduces_capacity():
     with_interf = _two_group_realization(co_active=True)
     without = _two_group_realization(co_active=False)
-    assert tdma4_active_groups(with_interf, 0) == [0, 1]
-    assert tdma4_active_groups(without, 0) == [0]
+    assert _co_active(with_interf, 0) == [0, 1]
+    assert _co_active(without, 0) == [0]
 
     cap_clean = exact_sinr_capacity(without, 0, (0, 1), EXACT_PARAMS)
     cap_noisy = exact_sinr_capacity(with_interf, 0, (0, 1), EXACT_PARAMS)
@@ -170,6 +184,31 @@ def test_interferer_rank_clamps_to_smaller_group():
     assert value == pytest.approx(expected, rel=1e-12)
 
 
+def _clash_in_group():
+    # Ranks 0 and 1 of the only group sit on the same point.
+    return realization_from_positions(
+        np.array([[0.20, 0.05], [0.20, 0.05], [0.05, 0.05]]), grid_side=4
+    )
+
+
+def _clash_with_co_active_group():
+    # Equal points always share a cell, so the co-active group's only member
+    # is moved onto group A's rank-0 receiver after grouping.
+    r = _two_group_realization(co_active=True)
+    pos = r.dest_pos.copy()
+    pos[r.group_members[1][0]] = pos[r.group_members[0][0]]
+    return replace(r, dest_pos=pos)
+
+
+@pytest.mark.parametrize(
+    "build", [_clash_in_group, _clash_with_co_active_group], ids=["in_group", "co_active"]
+)
+def test_transmitter_at_receiver_position_rejected(build):
+    r = build()
+    with pytest.raises(ValueError, match="share a position"):
+        link_capacity(r, 0, np.array([0]), EXACT_PARAMS)
+
+
 def test_capacity_nonnegative_on_random_networks():
     p = NetworkParams(m=4, beta=3.0, seed=2)
     r = place_nodes(p, derive_rng(2, 0))
@@ -185,7 +224,7 @@ def test_tdma4_no_two_active_groups_share_a_block():
     r = place_nodes(p, derive_rng(5, 0))
     assert r.grid_side >= 4
     for k in range(r.n1):
-        active = tdma4_active_groups(r, k)
+        active = _co_active(r, k)
         assert k in active
         blocks = [(row // 2, col // 2) for row, col in (r.group_cells[g] for g in active)]
         assert len(blocks) == len(set(blocks))
@@ -231,7 +270,7 @@ def _reference_pair_capacity(realization, k, pair, params):
     rx = pos[members[j]]
     sig_dist = float(np.linalg.norm(pos[members[i]] - rx))
     interference = 0.0
-    for l in tdma4_active_groups(realization, k):
+    for l in _co_active(realization, k):
         if l == k:
             continue
         other = realization.group_members[l]
@@ -261,7 +300,7 @@ def _assert_kernel_matches_reference(realization, params):
 def test_receiver_kernel_matches_pair_loop_on_random_network():
     p = NetworkParams(m=8, beta=2.5, alpha=3.0, p1=2.0, seed=4)
     r = place_nodes(p, derive_rng(p.seed, 0))
-    assert max(len(tdma4_active_groups(r, k)) for k in range(r.n1)) > 2
+    assert max(len(_co_active(r, k)) for k in range(r.n1)) > 2
     assert _assert_kernel_matches_reference(r, p) > 1000
 
 
