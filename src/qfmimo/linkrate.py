@@ -150,8 +150,12 @@ def link_capacity(
     receiver's own observation, is infinite.
     """
     n2 = realization.n2_of(k)
-    if not np.all((ranks >= 0) & (ranks < n2)):
-        raise ValueError(f"ranks {ranks} not all in group {k} of size {n2}")
+    outside = ranks[(ranks < 0) | (ranks >= n2)]
+    if outside.size:
+        raise ValueError(
+            f"{outside.size} of {ranks.size} ranks not in group {k} of size {n2}, "
+            f"first {outside[0]}"
+        )
     if params.mode == "tdma":
         return _exact_sinr_capacities(realization, k, ranks, params)
     caps = np.full((ranks.size, n2), hier_capacity(n2, params.epsilon, params.c2))

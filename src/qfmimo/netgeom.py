@@ -2,12 +2,13 @@
 
 A run places one multi-antenna source at the center and n = round(m**beta)
 single-antenna destinations uniformly at random, partitions the square into
-a grid of equal cells, and groups destinations by cell with one sort of the
-key group * span + source distance (span a power of two above every
-distance), whose equal keys are then put in (group, distance, index) order.
-Group members are therefore kept sorted by source distance, ties in index
-order; the farthest member of a group sets the reference path loss used by
-the rate modules.
+a grid of equal cells, and groups destinations by cell with one in-place
+sort of packed uint64 keys: group id, a prefix of the source distance's bit
+pattern and the destination index, from the high bits down.  Keys whose
+group and prefix tie are then put in (distance, index) order.  Group
+members are therefore kept sorted by source distance, ties in index order;
+the farthest member of a group sets the reference path loss used by the
+rate modules.
 """
 
 from __future__ import annotations
@@ -60,7 +61,11 @@ class NetworkParams:
     sample_size: int = 50
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
+        for name in ("m", "seed", "trials", "sample_size"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         for name in ("beta", "alpha", "p0", "p1", "c2"):
             if not math.isfinite(getattr(self, name)):
@@ -85,7 +90,7 @@ class NetworkParams:
                 f"exclusion_radius must lie in [0, {MAX_EXCLUSION_RADIUS}) so the "
                 f"exclusion disk leaves room to place nodes, got {self.exclusion_radius}"
             )
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -205,21 +210,38 @@ def _group(
     group_of = group_id[cell_id]
     del cell_id  # keeps peak memory down at large n
 
-    # One sort of group * span + distance gives the (group, distance) order:
-    # with span a power of two above every distance, group * span is exact
-    # and rounding is monotone, so keys can only tie, never invert.  Runs of
-    # equal keys are then put in (group, distance, index) order.
-    span = math.ldexp(1.0, math.frexp(float(source_dist.max()))[1])
-    key = group_of * span
-    key += source_dist
-    order = np.argsort(key)
+    # One in-place sort of uint64 keys (group | distance prefix | index,
+    # from the high bits down) gives the (group, distance, index) order.
+    # Non-negative doubles order like their bit patterns, and the prefix
+    # (bits - min) >> shift is non-decreasing in distance, so it can tie two
+    # distances but never invert them.  Runs of equal group and prefix are
+    # then put in (distance, index) order.  The fields fit for n < 2**32.
+    index_bits = max(1, (n - 1).bit_length())
+    group_bits = max(1, (occupied.size - 1).bit_length())
+    dist_bits = 64 - index_bits - group_bits
+    bits = source_dist.view(np.uint64)
+    key = bits - bits.min()
+    key >>= max(0, int(key.max()).bit_length() - dist_bits)
+    high = group_of.astype(np.uint64)
+    high <<= dist_bits
+    key |= high
+    del high
+    key <<= index_bits
+    key |= np.arange(n, dtype=np.uint64)
     key.sort()
-    same = key[1:] == key[:-1]
+    mask = 2**index_bits - 1
+    same = (key[1:] ^ key[:-1]) <= mask
     if same.any():
         tied = np.flatnonzero(np.concatenate(([False], same)) | np.concatenate((same, [False])))
-        runs = order[tied]
-        order[tied] = runs[np.lexsort((runs, source_dist[runs], group_of[runs], key[tied]))]
-    del key, same
+        # Tied positions can hold runs of two groups side by side, so the
+        # group and prefix bits stay the primary sort key of the repair.
+        runs = key[tied]
+        dist = source_dist[(runs & mask).view(np.intp)]
+        key[tied] = runs[np.lexsort((runs, dist, runs >> index_bits))]
+    del same
+    # The low bits of the sorted keys are the permutation.
+    key &= mask
+    order = key.view(np.intp)
     sizes = counts[occupied]
     starts = np.cumsum(sizes) - sizes
     # Ranks in group order are a running count that restarts at each group

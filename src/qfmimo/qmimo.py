@@ -257,10 +257,16 @@ def quantization_noise(
     """
     e_y2 = np.asarray(e_y2, dtype=float)
     c_link = np.asarray(c_link, dtype=float)
-    if not np.all(e_y2 >= 1.0):
-        raise ValueError(f"received power must include unit noise, got {e_y2}")
-    if np.isnan(c_link).any():
-        raise ValueError(f"link capacity must not be NaN, got {c_link}")
+    # Messages give a count and the first offender: one line at any size.
+    low = e_y2[~(e_y2 >= 1.0)]
+    if low.size:
+        raise ValueError(
+            f"received power must include unit noise, got {low.size} of {e_y2.size} "
+            f"values not >= 1, first {low[0]}"
+        )
+    nan = np.count_nonzero(np.isnan(c_link))
+    if nan:
+        raise ValueError(f"link capacity must not be NaN, got {nan} NaN of {c_link.size}")
     expo = ((1.0 - delta) / delta) * (n / (4.0 * n2)) * c_link
     with np.errstate(over="ignore", divide="ignore"):
         denom = 2.0**expo - 1.0

@@ -467,16 +467,18 @@ def test_cli_csv_bytes_independent_of_blas_threads(tmp_path):
     "flags",
     [["--m", "4", "--beta", "3", "--p1", "1e308"],
      ["--sweep", "3,4", "--beta", "2", "--p0", "1e308", "--workers", "2"],
-     ["--m", "100000", "--beta", "3"]],
-    ids=["point", "sweep_workers_2", "out_of_memory"],
+     ["--m", "100000", "--beta", "3"],
+     ["--m", "4", "--alpha", "1e300", "--sample-size", "64"]],
+    ids=["point", "sweep_workers_2", "out_of_memory", "nan_capacity_matrix"],
 )
 def test_cli_numerical_failure_prints_only_its_error(tmp_path, flags):
     # Overflow on the way to a non-finite output is reported once, by the
     # error line, not also by numpy warnings; workers inherit the setting.
     # n = 10**15 destinations ask numpy for 14.2 PiB, more than any 47-bit
-    # address space holds, so that allocation fails at once.
+    # address space holds, so that allocation fails at once.  At alpha =
+    # 1e300 whole capacity matrices are NaN, and the line gives only a count.
     done = subprocess.run(
-        [sys.executable, "-m", "qfmimo.cli", *flags, "--trials", "4", "--sample-size", "4",
+        [sys.executable, "-m", "qfmimo.cli", "--trials", "4", "--sample-size", "4", *flags,
          "--out", str(tmp_path / "fail.csv")],
         capture_output=True, text=True, timeout=120,
     )

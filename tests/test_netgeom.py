@@ -53,6 +53,16 @@ def test_default_params_are_valid():
         dict(p1=float("inf")),
         dict(c2=float("nan")),
         dict(c2=float("inf")),
+        # Counts must be int: seed=1.5 used to run as seed 1 but print 1.5.
+        dict(m=4.0),
+        dict(seed=1.5),
+        dict(seed=2.0),
+        dict(seed=True),
+        dict(seed="3"),
+        dict(trials=2.5),
+        dict(trials=True),
+        dict(sample_size=2.5),
+        dict(sample_size=False),
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -241,18 +251,22 @@ def _assert_lexsort_grouping(r):
     assert np.array_equal(r.rank_of[order], ranks)
 
 
+def _lattice(side):
+    """One point at the center of each cell of a side x side grid."""
+    centers = (np.arange(side) + 0.5) / side
+    return np.stack(np.meshgrid(centers, centers), axis=-1).reshape(-1, 2)
+
+
 @pytest.mark.parametrize("side, group_dtype", [(8, np.uint8), (257, np.uint32)])
 def test_sub_ulp_distances_in_a_high_group_stay_ordered(side, group_dtype):
     # Points on the source's row at x - 0.5 = d have source distance d
-    # exactly, so consecutive x give distances one ulp of x apart.  In group
-    # (side // 2) * side + col that is far below one ulp of the sort key, so
-    # the keys collide; listing the points farthest first means only the
-    # repair of equal keys can put them in distance order.
-    centers = (np.arange(side) + 0.5) / side
-    lattice = np.stack(np.meshgrid(centers, centers), axis=-1).reshape(-1, 2)
+    # exactly, so consecutive x give distances one ulp of x apart.  That is
+    # finer than the distance prefix of the packed sort key resolves here,
+    # so the points tie in group and prefix; listing them farthest first
+    # means only the repair of tied prefixes can put them in distance order.
     xs = 0.95 + np.arange(16)[::-1] * np.spacing(0.95)
     ray = np.stack([xs, np.full(16, 0.5)], axis=-1)
-    r = realization_from_positions(np.concatenate([lattice, ray]), grid_side=side)
+    r = realization_from_positions(np.concatenate([_lattice(side), ray]), grid_side=side)
     assert r.group_of.dtype == group_dtype
     assert r.n1 == side * side
     ray_dist = r.source_dist[side * side:]
@@ -261,12 +275,51 @@ def test_sub_ulp_distances_in_a_high_group_stay_ordered(side, group_dtype):
     _assert_lexsort_grouping(r)
 
 
+def test_destination_at_the_source_keeps_sub_ulp_ray_ordered():
+    # A destination at the source has distance 0, so the distance prefix
+    # must hold the whole bit pattern of the largest distance and drops low
+    # bits even at n = 18.  The ray points lie one ulp of x apart, listed
+    # farthest first: they tie in the prefix, and only the repair orders them.
+    xs = 0.8 + np.arange(8)[::-1] * np.spacing(0.8)
+    ray = np.stack([xs, np.full(8, 0.5)], axis=-1)
+    r = realization_from_positions(np.concatenate([_lattice(3), [(0.5, 0.5)], ray]), grid_side=3)
+    assert r.source_dist[9] == 0.0
+    assert np.array_equal(r.source_dist[10:], xs - 0.5)
+    assert np.unique(r.source_dist[10:]).size == 8
+    _assert_lexsort_grouping(r)
+
+
+def test_distances_straddling_one_half_stay_ordered():
+    # From a source on the left edge, (d, 0.5) is exactly d away.  The bit
+    # patterns of 0.5 - ulp, 0.5 and 0.5 + ulp are adjacent across the
+    # exponent step at 0.5; they are listed in reverse index order, and a
+    # destination at the source makes their prefixes tie.
+    ds = np.array([np.nextafter(0.5, 1.0), 0.5, np.nextafter(0.5, 0.0)])
+    pos = np.concatenate([_lattice(4), np.stack([ds, np.full(3, 0.5)], axis=-1), [(0.0, 0.5)]])
+    r = realization_from_positions(pos, grid_side=2, source_pos=(0.0, 0.5))
+    assert np.array_equal(r.source_dist[16:19], ds)
+    assert r.source_dist[19] == 0.0
+    _assert_lexsort_grouping(r)
+
+
+def test_tied_runs_meeting_at_a_group_boundary_keep_group_order():
+    # Group 1 (cell (1, 0)) ends with two distances one ulp apart, listed
+    # farthest first, and group 2 (cell (1, 1)) starts with two points at
+    # the source.  Both pairs tie in their prefix and sit side by side in
+    # key order, so the repair must keep them apart by group.
+    pos = [(2.0**-54, 0.5), (2.0**-53, 0.5), (0.5, 0.5), (0.5, 0.5), (0.25, 0.25)]
+    r = realization_from_positions(np.array(pos), grid_side=2)
+    assert r.group_cells == [(0, 0), (1, 0), (1, 1)]
+    assert [m.tolist() for m in r.group_members] == [[4], [1, 0], [2, 3]]
+    _assert_lexsort_grouping(r)
+
+
 @pytest.mark.parametrize("source", [(0.0, 0.0), (-1.0, 2.0), (40.0, -30.0)])
 def test_grouping_with_distances_beyond_one(source):
     # From the corner, distances reach sqrt(2).  From (-1, 2), (0.99, 0.01)
     # in group 1 of the 2 x 2 grid is 1.39 farther than (0.01, 0.99) in
-    # group 2, so a span of 1 would sort them across groups.  From (40, -30)
-    # every distance is near 50.
+    # group 2, so the group bits of the sort key must outrank the distance
+    # prefix.  From (40, -30) every distance is near 50.
     rng = np.random.default_rng(11)
     pos = np.concatenate([
         rng.random((3000, 2)),
@@ -308,8 +361,7 @@ def test_rejection_loop_matches_full_recheck(seed, radius):
 @pytest.mark.parametrize("side", [20, 300])
 def test_group_ids_wide_enough_and_exact_distances(side):
     # One point per cell: 400 groups overflow uint8, 90,000 overflow uint16.
-    centers = (np.arange(side) + 0.5) / side
-    pos = np.stack(np.meshgrid(centers, centers), axis=-1).reshape(-1, 2)
+    pos = _lattice(side)
     r = realization_from_positions(pos, grid_side=side)
     n = side * side
     assert r.n1 == n
@@ -337,8 +389,8 @@ def test_rank_of_uses_narrowest_unsigned_type(size, dtype):
 
 
 def test_distance_ties_keep_index_order_at_scale():
-    # Lattice points give long runs of equal distances; at this size the
-    # unstable key sort scrambles them, so index order must be restored.
+    # Lattice points give long runs of equal distances, which tie in the
+    # sort key's distance prefix; the repair must leave them in index order.
     rng = np.random.default_rng(5)
     pos = rng.integers(0, 13, size=(40_000, 2)) / 12
     r = realization_from_positions(pos, grid_side=3)

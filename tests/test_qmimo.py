@@ -127,6 +127,24 @@ def test_noise_rejects_nan_capacity():
         quantization_noise(np.full(2, 2.0), np.array([1.0, math.nan]), 0.5, 16, 4)
 
 
+def test_array_errors_give_a_count_on_one_line():
+    # Formatting a whole offending matrix would spread the CLI's error line
+    # over many lines; the message gives a count and the first offender.
+    e_y2 = np.full((40, 50), 2.0)
+    e_y2[3, 7], e_y2[9, 1] = 0.5, 0.25
+    with pytest.raises(ValueError, match=r"^[^\n]*2 of 2000 values not >= 1, first 0\.5$"):
+        quantization_noise(e_y2, np.ones_like(e_y2), 0.5, 16, 4)
+    with pytest.raises(ValueError, match=r"^[^\n]*got 2000 NaN of 2000$"):
+        quantization_noise(np.full((40, 50), 2.0), np.full((40, 50), math.nan), 0.5, 16, 4)
+    p = NetworkParams(m=4, beta=2.0, seed=6)
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    n2 = r.n2_of(0)
+    ranks = np.arange(-10, n2 + 20)
+    message = rf"^30 of {ranks.size} ranks not in group 0 of size {n2}, first -10$"
+    with pytest.raises(ValueError, match=message):
+        link_capacity(r, 0, ranks, p)
+
+
 def test_noise_profile_shape_and_self_link():
     p = NetworkParams(m=3, beta=2.0, seed=14, trials=8)
     r = place_nodes(p, derive_rng(p.seed, 0))
