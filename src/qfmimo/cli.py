@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Single-point evaluations and m-sweeps share one flat configuration: defaults
-< config file (key=value lines) < command-line flags.  Scientific output is
-a CSV on --out (stdout when omitted); timing and fit summaries go to stderr
-so the CSV stays byte-reproducible.
+< config file (key=value lines) < command-line flags.  The argparse parser is
+the only reader of settings: each config line becomes a --key=value token
+placed before the command-line arguments, so both sources get the same types
+and choices, and a flag wins because argparse keeps the last value it sees.
+Scientific output is a CSV on --out (stdout when omitted); timing and fit
+summaries go to stderr so the CSV stays byte-reproducible.
 
 Exit codes: 0 success, 2 invalid configuration (an --out path that cannot
 be written included, found before any point runs), 3 numerical failure or
@@ -21,8 +24,8 @@ import numpy as np
 
 from .harness import (
     FIT_MODELS,
+    POINT_FAILURES,
     ConfigError,
-    NumericalError,
     PowerLawFit,
     ScalingSeries,
     SweepFailure,
@@ -34,20 +37,10 @@ from .harness import (
 )
 from .netgeom import MODES, NetworkParams
 
-_PARAM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(NetworkParams)}
-
-_RUN_KEYS = {
-    "sweep": str,
-    "fit": str,
-    "out": str,
-    "workers": int,
-}
-
-CONFIG_KEYS = {**_PARAM_KEYS, **_RUN_KEYS}
-
 
 def load_config(path: str) -> dict[str, str]:
-    """Parse a flat key=value config file; unknown keys are fatal."""
+    """Parse a flat key=value config file; a key that names no flag is fatal."""
+    known = set(vars(build_parser().parse_args([]))) - {"config"}
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -62,22 +55,27 @@ def load_config(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in CONFIG_KEYS:
+        if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
 
 
-def _parse_sweep(text: str) -> list[int]:
+def _sweep(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--sweep expects comma-separated integers, got {text!r}") from exc
+        m_list = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        m_list = []
+    if not m_list:
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
+    return m_list
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A bad value raises ArgumentError, which main reports as a ConfigError.
     parser = argparse.ArgumentParser(
         prog="qfmimo",
+        exit_on_error=False,
         description=(
             "Simulate a quantize-and-forward cooperative MIMO downlink: "
             "achievable sum rate, cut-set upper bound, and m-scaling sweeps."
@@ -100,53 +98,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sample-size", type=int, dest="sample_size",
                         help="destinations evaluated per sum-rate estimate")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--sweep", help="comma-separated ascending m values")
+    parser.add_argument("--sweep", type=_sweep, help="comma-separated ascending m values")
     parser.add_argument("--fit", choices=FIT_MODELS, help="fit the sweep's R_sum column")
     parser.add_argument("--out", help="CSV output path (default: stdout)")
-    parser.add_argument("--workers", type=int, help="parallel workers for sweep points")
+    parser.add_argument("--workers", type=int, default=1, help="parallel workers for sweep points")
     return parser
 
 
-def _merge_settings(args: argparse.Namespace) -> dict[str, object]:
-    settings: dict[str, object] = {}
-    if args.config:
-        for key, text in load_config(args.config).items():
-            caster = CONFIG_KEYS[key]
-            try:
-                settings[key] = caster(text)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}={text!r}: {exc}") from exc
-    for key in CONFIG_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-    return settings
+def _parse_settings(argv: list[str]) -> argparse.Namespace:
+    parser = build_parser()
+    source = ""
+    try:
+        args = parser.parse_args(argv)
+        if args.config:
+            # The flags passed the first parse, so a bad value now is the file's.
+            source = f"{args.config}: "
+            lines = load_config(args.config).items()
+            args = parser.parse_args(
+                [*(f"--{key.replace('_', '-')}={value}" for key, value in lines), *argv]
+            )
+    except argparse.ArgumentError as exc:
+        raise ConfigError(f"{source}{exc}") from exc
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
     try:
-        settings = _merge_settings(args)
-        param_kwargs = {k: v for k, v in settings.items() if k in _PARAM_KEYS}
+        args = _parse_settings(sys.argv[1:] if argv is None else argv)
         try:
-            params = NetworkParams(**param_kwargs)
+            params = NetworkParams(**{
+                f.name: getattr(args, f.name)
+                for f in dataclasses.fields(NetworkParams)
+                if getattr(args, f.name) is not None
+            })
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        sweep = settings.get("sweep")
-        m_list = _parse_sweep(sweep) if isinstance(sweep, str) and sweep else None
-        workers = int(settings.get("workers", 1))
+        m_list, workers, fit_model, out = args.sweep, args.workers, args.fit, args.out
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
-        fit_model = settings.get("fit")
-        if fit_model and fit_model not in FIT_MODELS:
-            raise ConfigError(f"fit model must be one of {FIT_MODELS}, got {fit_model!r}")
         if fit_model and (m_list is None or len(m_list) < 3):
             raise ConfigError("--fit needs a --sweep with at least 3 points")
         if fit_model == "m_log_m_ratio" and min(m_list) < 2:
             raise ConfigError("--fit m_log_m_ratio needs every m >= 2 (log2 m must be > 0)")
-        out = settings.get("out")
         if out:
             # An unwritable CSV path fails now, not after every point has run.
             folder = os.path.dirname(os.path.abspath(out))
@@ -175,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(series, out)
 
         if fit_model:
-            fit = fit_scaling(series, str(fit_model))
+            fit = fit_scaling(series, fit_model)
             if isinstance(fit, PowerLawFit):
                 print(
                     f"fit power_law: slope={fit.slope:.4f} residual={fit.residual:.4g}",
@@ -190,10 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
-        # A ValueError past configuration is a numerical failure inside a
-        # point, and a MemoryError a size no machine holds, as run_sweep
-        # already treats them.
+    except POINT_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
@@ -212,9 +202,9 @@ def _log_point(row: SweepRow) -> None:
     )
 
 
-def _emit(series: ScalingSeries, out: object) -> None:
+def _emit(series: ScalingSeries, out: str | None) -> None:
     if out:
-        with open(str(out), "w", encoding="utf-8", newline="\n") as fh:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
             write_csv(series, fh)
     else:
         write_csv(series, sys.stdout)

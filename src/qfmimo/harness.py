@@ -60,6 +60,11 @@ class SweepFailure(NumericalError):
         self.partial = partial
 
 
+# What a failing point raises: a ValueError past configuration is a numerical
+# failure inside the point, and a MemoryError a size no machine holds.
+POINT_FAILURES = (NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One CSV row of a sweep; runtime_seconds and the timings are not serialized.
@@ -242,6 +247,11 @@ def run_sweep(
     (a size too large for memory included), the completed rows are flushed
     into SweepFailure.partial.
     """
+    m_list = list(m_list)
+    # int() would truncate 2.7 to 2 and turn True into 1; numpy integers,
+    # as np.arange gives, are whole numbers.
+    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) for m in m_list):
+        raise ConfigError(f"sweep m values must be integers, got {m_list}")
     m_list = [int(m) for m in m_list]
     if not m_list:
         raise ConfigError("sweep needs at least one m value")
@@ -264,9 +274,7 @@ def run_sweep(
         try:
             for row in points:
                 rows.append(row)
-        except (
-            NumericalError, ValueError, ArithmeticError, np.linalg.LinAlgError, MemoryError
-        ) as exc:
+        except POINT_FAILURES as exc:
             raise SweepFailure(
                 f"sweep point m={m_list[len(rows)]} failed: {exc}",
                 partial=ScalingSeries(rows=rows),

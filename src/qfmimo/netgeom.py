@@ -167,10 +167,17 @@ def realization_from_positions(
     grid_side: int,
     source_pos: tuple[float, float] = SOURCE_POS,
 ) -> NetworkRealization:
-    """Build the grid/group bookkeeping for explicitly given positions."""
+    """Build the grid/group bookkeeping for explicitly given positions.
+
+    Destinations must be finite and lie in the unit square, grid_side must be
+    a positive integer, and the source may lie anywhere its distances stay
+    finite; anything else raises ValueError.
+    """
     dest_pos = np.asarray(dest_pos, dtype=float).reshape(-1, 2)
     src = np.asarray(source_pos, dtype=float)
     n = dest_pos.shape[0]
+    if not isinstance(grid_side, (int, np.integer)) or isinstance(grid_side, bool):
+        raise ValueError(f"grid_side must be an integer, got {grid_side!r}")
     g = int(grid_side)
     if n < 1 or g < 1:
         raise ValueError("need at least one destination and one cell")

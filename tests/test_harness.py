@@ -556,3 +556,72 @@ def test_rate_stage_split_into_link_phase_and_gram(tmp_path, capsys):
     assert all(float(v.rstrip("s")) >= 0.0 for v in parts.values())
     # The CSV carries no clock: runtime_s stays the 0.0 placeholder.
     assert out.read_text().splitlines()[1].split(",")[-2] == "0.0"
+
+
+@pytest.fixture
+def no_point(monkeypatch):
+    # Any point that runs fails the test.
+    import qfmimo.cli
+    import qfmimo.harness
+
+    def no_point(*args, **kwargs):
+        raise AssertionError("run_point called")
+
+    monkeypatch.setattr(qfmimo.harness, "run_point", no_point)
+    monkeypatch.setattr(qfmimo.cli, "run_point", no_point)
+
+
+@pytest.mark.parametrize("line", ["m = x", "mode = fdma", "workers = 2.5", "fit = cubic"])
+def test_cli_bad_config_value_exits_2_with_one_error_line(no_point, tmp_path, capsys, line):
+    # Config lines go through the flags' parser: same types, same choices.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"sweep = 2,3,4\nbeta = 2\n{line}\n")
+    out = tmp_path / "bad.csv"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_config_value_may_start_with_a_dash(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "dash.cfg"
+    cfg.write_text("out = -point.csv\nm = 2\nbeta = 2\ntrials = 4\nsample_size = 2\n")
+    assert main(["--config", str(cfg)]) == 0
+    assert (tmp_path / "-point.csv").read_text().splitlines()[0] == CSV_HEADER
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(["--sweep", ""], ""), ([], "sweep =\n"), (["--sweep", ","], "")],
+    ids=["flag", "config", "comma"],
+)
+def test_cli_empty_sweep_exits_2_before_any_point(no_point, tmp_path, capsys, argv, config):
+    # An empty list used to run the single point --m names.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "empty.csv"
+    assert main(["--config", str(cfg), *argv, "--m", "2", "--beta", "2", "--out", str(out)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_config_file_gives_the_flags_csv(tmp_path):
+    flags = ["--sweep", "2,3,4", "--beta", "2", "--mode", "hier", "--q", "0.05",
+             "--trials", "8", "--sample-size", "2", "--seed", "5", "--fit", "power_law"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(flags[::2], flags[1::2])))
+    assert main([*flags, "--out", str(tmp_path / "flags.csv")]) == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "config.csv")]) == 0
+    assert (tmp_path / "flags.csv").read_bytes() == (tmp_path / "config.csv").read_bytes()
+
+
+def test_sweep_rejects_non_integer_m_values():
+    # int() would truncate these to m = 2, 3 or m = 1, 2, 3.
+    p = NetworkParams(beta=2.0, seed=3, **FAST)
+    for m_list in ([2.7, 3.2], [True, 2, 3], [2.0, 3], [2, "3"], [np.float64(2.0)]):
+        with pytest.raises(ConfigError):
+            run_sweep(p, m_list)
+    rows = run_sweep(p, np.arange(2, 4)).rows
+    assert [r.to_csv() for r in rows] == [r.to_csv() for r in run_sweep(p, [2, 3]).rows]

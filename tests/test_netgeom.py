@@ -395,3 +395,11 @@ def test_distance_ties_keep_index_order_at_scale():
     pos = rng.integers(0, 13, size=(40_000, 2)) / 12
     r = realization_from_positions(pos, grid_side=3)
     _assert_lexsort_grouping(r)
+
+
+@pytest.mark.parametrize("grid_side", [2.9, 2.0, True, "2"])
+def test_non_integer_grid_side_rejected(grid_side):
+    # int() would truncate 2.9 to a 2x2 grid and True to a 1x1 grid.
+    with pytest.raises(ValueError):
+        realization_from_positions(np.array([(0.3, 0.3)]), grid_side=grid_side)
+    assert realization_from_positions(np.array([(0.3, 0.3)]), grid_side=np.int64(2)).grid_side == 2

@@ -15,13 +15,13 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "argv",
     [
-        ["tdma_scaling_experiment.py", "--m", "2,3,4", "--beta", "2", "--trials", "4",
-         "--sample-size", "2"],
-        ["hier_scaling_experiment.py", "--m", "2,3,4", "--beta", "2", "--trials", "4",
-         "--sample-size", "2"],
+        ["scaling_experiment.py", "--mode", "tdma", "--m", "2,3,4", "--beta", "2",
+         "--trials", "4", "--sample-size", "2"],
+        ["scaling_experiment.py", "--mode", "hier", "--m", "2,3,4", "--beta", "2",
+         "--trials", "4", "--sample-size", "2"],
         ["capacity_oracles.py", "2"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["scaling_experiment.py-tdma", "scaling_experiment.py-hier", "capacity_oracles.py"],
 )
 def test_experiment_script_runs(argv):
     done = subprocess.run(
