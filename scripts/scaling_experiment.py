@@ -29,11 +29,23 @@ PROFILES = {
 }
 
 
+def m_values(text: str) -> list[int]:
+    """Comma-separated antenna counts, each >= 2 so that m log2 m > 0."""
+    try:
+        values = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < 2:
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers >= 2, got {text!r}")
+    return values
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--mode", choices=PROFILES, default="tdma")
-    ap.add_argument("--m", default="4,8,16,32", help="comma-separated sweep values")
+    ap.add_argument("--m", type=m_values, default="4,8,16,32",
+                    help="comma-separated sweep values, each >= 2")
     ap.add_argument("--beta", type=float, help="default: 3 (tdma), 2 (hier)")
     ap.add_argument("--epsilon", type=float, default=0.05,
                     help="hier-mode rate exponent, also its cell-area exponent q")
@@ -54,10 +66,9 @@ def main() -> int:
         trials=args.trials,
         sample_size=profile["sample_size"] if args.sample_size is None else args.sample_size,
     )
-    m_list = [int(tok) for tok in args.m.split(",")]
 
     t0 = time.perf_counter()
-    series = run_sweep(params, m_list, workers=args.workers)
+    series = run_sweep(params, args.m, workers=args.workers)
     elapsed = time.perf_counter() - t0
 
     print(f"{'m':>4} {'n':>7} {'n1':>5} {'n2_mean':>9} {'R_sum':>10} "

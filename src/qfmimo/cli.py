@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -38,8 +39,15 @@ from .harness import (
 from .netgeom import MODES, NetworkParams
 
 
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
 def load_config(path: str) -> dict[str, str]:
-    """Parse a flat key=value config file; a key that names no flag is fatal."""
+    """Parse a flat key=value config file; a key that names no flag is fatal.
+
+    A comment starts at a # that begins the line or follows whitespace, so a
+    value such as run#3.csv keeps its #.
+    """
     known = set(vars(build_parser().parse_args([]))) - {"config"}
     values: dict[str, str] = {}
     try:
@@ -48,7 +56,7 @@ def load_config(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

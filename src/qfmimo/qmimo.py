@@ -23,25 +23,32 @@ time, so achievable_rate, noise_profile, quantized_mimo_rate and
 ergodic_logdet take J destinations (an array of ranks or a (J, n2) matrix)
 with one generator each, and return results with a leading axis of J.
 
-Phases are mapped from uniform draws through a 4096-entry table of roots of
-unity times cos x + i sin x of the remaining angle x < 2 pi / 4096, taken as
-the Taylor polynomials 1 - x**2/2 + x**4/24 and x - x**3/6 (truncation errors
-below 2e-20 and 7.1e-17); this is several times faster than a complex exp and
-equal to it within 2e-15.  The draws are mapped in pieces of at most 2**14
-entries through a set of scratch arrays, and written into a caller-owned
-output buffer when one is given.  The log-det kernel draws phases and forms
-Gram matrices in blocks of trials of about 8192 phase entries, into one phase
-buffer and one scratch set per call, so the working set stays in cache and
-memory does not grow with the trial count beyond the (trials, k, k) Gram stack
-and one block of phases.  A Gram product of at least 2**16 complex
-multiply-adds per trial is formed from the interleaved (re, im) float view x
-of the phase block as the real symmetric product x^T x, one BLAS dsyrk with
-half the flops, and folded into complex form; OpenBLAS keeps that dsyrk on the
-calling thread for k < 64, where it would split the complex product across
-cores.  Smaller products stay one complex matmul.  A tall channel (more rows
-than antennas) whose row scales are so strongly graded that forming S'S would
-lose its small eigenvalues raises FloatingPointError instead of returning an
-inaccurate rate.
+Phases are mapped from uniform draws by one of two kernels, chosen once at
+import.  Where numpy's float64 tan runs a SIMD loop (AVX-512 on x86-64), the
+half-angle tangent t = tan(pi u) gives cos 2 pi u = r - 1 and sin 2 pi u =
+t r with r = 2 / (1 + t**2), equal to a complex exp within 5e-16 over 3e6
+draws.  Elsewhere tan is a scalar loop several times slower, and a
+4096-entry table of roots of unity times cos x + i sin x of the remaining
+angle x < 2 pi / 4096, taken as the Taylor polynomials 1 - x**2/2 + x**4/24
+and x - x**3/6, is faster; it is equal to a complex exp within 2e-15.  Both
+take one uniform per entry in C order, so the random stream does not depend
+on the kernel, but the phases' last bits do.  The draws are mapped in pieces
+of at most 2**14 entries through a set of scratch arrays, and written into a
+caller-owned output buffer when one is given.
+
+The log-det kernel draws phases and forms Gram matrices in blocks of trials
+of about 8192 phase entries, into one phase buffer and one scratch set per
+call, so the working set stays in cache and memory does not grow with the
+trial count beyond the (trials, k, k) Gram stack and one block of phases.
+A Gram product of at least 2**16 complex multiply-adds per trial is formed
+from the interleaved (re, im) float view x of the phase block as the real
+symmetric product x^T x, one BLAS dsyrk with half the flops, and folded into
+complex form; OpenBLAS keeps that dsyrk on the calling thread for k < 64,
+where it would split the complex product across cores.  Smaller products
+stay one complex matmul.  A tall channel (more rows than antennas) whose row
+scales are so strongly graded that forming S'S would lose its small
+eigenvalues raises FloatingPointError instead of returning an inaccurate
+rate.
 """
 
 from __future__ import annotations
@@ -62,6 +69,27 @@ NO_RELAY = math.inf
 _LOG2 = math.log(2.0)
 
 
+def _simd_tan() -> bool:
+    """Whether numpy's float64 tan runs a SIMD loop on this CPU.
+
+    The tangent phase kernel is faster than the table kernel only then: on a
+    2-core x86-64 machine with AVX-512 (numpy 2.4), tan costs about 2.7 ns an
+    entry, and with AVX-512 disabled 20-24 ns, which made the tangent kernel
+    2.1-2.5 times slower than the table.  numpy before 2.0 cannot report its
+    loops, so it gets the table.
+    """
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return False
+    loops = opt_func_info(func_name="^tan$", signature="float64").get("tan", {})
+    return any(not loop["current"].startswith("baseline") for loop in loops.values())
+
+
+# Whether phase_matrix maps draws through the half-angle tangent (True) or
+# through the root table (False).
+_TANGENT_PHASES = _simd_tan()
+
 # exp(2 pi i k / K) for k < K; K is a power of two, so splitting u * K into
 # its integer and fractional parts is exact.
 _PHASE_TABLE = np.exp(2j * np.pi * np.arange(2**12) / 2**12)
@@ -72,7 +100,8 @@ _COS2, _COS4 = _PHASE_STEP**2 / 2.0, _PHASE_STEP**4 / 24.0
 _SIN3 = _PHASE_STEP**3 / 6.0
 
 # Phase entries phase_matrix maps per pass through its scratch arrays, whose
-# 48 bytes an entry (768 KiB) stay in a 2 MiB per-core L2 cache.
+# 16 bytes an entry (256 KiB) for the tangent kernel, or 48 (768 KiB) for the
+# table kernel, stay in a 2 MiB per-core L2 cache.
 _PIECE_ENTRIES = 2**14
 
 # Phase entries per trial block of ergodic_logdet (at least one trial).
@@ -102,7 +131,50 @@ _BATCH_ENTRIES = 3 * 2**14
 def _phase_scratch(entries: int) -> tuple[np.ndarray, ...]:
     """Working arrays for phase_matrix pieces of up to `entries` entries."""
     size = max(1, min(entries, _PIECE_ENTRIES))
+    if _TANGENT_PHASES:
+        return tuple(np.empty((2, size)))
     return (*np.empty((3, size)), np.empty(size, np.intp), np.empty(size, complex))
+
+
+def _tangent_piece(theta: np.ndarray, t: np.ndarray, r: np.ndarray) -> None:
+    """Map the uniforms u in `t` to exp(2 pi i u) in theta; `r` is scratch."""
+    t *= np.pi
+    np.tan(t, out=t)
+    np.multiply(t, t, out=r)
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    np.subtract(r, 1.0, out=theta.real)
+    np.multiply(t, r, out=theta.imag)
+
+
+def _table_piece(
+    theta: np.ndarray,
+    y: np.ndarray,
+    y2: np.ndarray,
+    t: np.ndarray,
+    idx: np.ndarray,
+    roots: np.ndarray,
+) -> None:
+    """Map the uniforms in `y` to exp(2 pi i y) in theta; the rest is scratch."""
+    y *= _PHASE_TABLE.size
+    # y2 holds the integer part until it is cast into idx.
+    np.floor(y, out=y2)
+    np.copyto(idx, y2, casting="unsafe")
+    y -= y2
+    np.multiply(y, y, out=y2)
+    # cos x = 1 - y2 (_COS2 - y2 _COS4) and sin x = y (_PHASE_STEP - y2
+    # _SIN3), through one scratch array.
+    np.multiply(y2, _COS4, out=t)
+    np.subtract(_COS2, t, out=t)
+    t *= y2
+    np.subtract(1.0, t, out=theta.real)
+    np.multiply(y2, _SIN3, out=t)
+    np.subtract(_PHASE_STEP, t, out=t)
+    np.multiply(y, t, out=theta.imag)
+    # Indices lie in [0, 4096), so clipping changes none; unlike the
+    # default mode it lets take write into `roots` without a buffer.
+    np.take(_PHASE_TABLE, idx, out=roots, mode="clip")
+    theta *= roots
 
 
 def phase_matrix(
@@ -115,10 +187,14 @@ def phase_matrix(
 
     Fading enters only through these phases, uniform on [0, 2*pi) and redrawn
     on every sample; magnitudes are deterministic path losses.  Each entry is
-    exp(2 pi i u) for one uniform draw u, taken in C order, evaluated as a
-    table root of unity times cos x + i sin x for the remaining angle
-    x < 2 pi / 4096, with cos x = 1 - x**2/2 + x**4/24 and sin x = x - x**3/6
-    (truncation errors below 2e-20 and 7.1e-17).
+    exp(2 pi i u) for one uniform draw u, taken in C order.  Where numpy's
+    float64 tan is a SIMD loop, it is evaluated from t = tan(pi u) as
+    (r - 1) + i t r with r = 2 / (1 + t**2); otherwise as a table root of
+    unity times cos x + i sin x for the remaining angle x < 2 pi / 4096,
+    with cos x = 1 - x**2/2 + x**4/24 and sin x = x - x**3/6 (truncation
+    errors below 2e-20 and 7.1e-17).  The kernel is fixed at import, so a
+    process always gives the same bits; two hosts that choose different
+    kernels differ in the last bits only, with the same generator end state.
 
     The result is written into `out` when given (a C-contiguous complex
     array of the shape) and returned; its bits and the generator's end state
@@ -136,29 +212,12 @@ def phase_matrix(
     piece = scratch[0].size
     for lo in range(0, flat.size, piece):
         theta = flat[lo : lo + piece]
-        y, y2, t, idx, roots = (
-            scratch if theta.size == piece else (a[: theta.size] for a in scratch)
-        )
-        rng.random(out=y)
-        y *= _PHASE_TABLE.size
-        # y2 holds the integer part until it is cast into idx.
-        np.floor(y, out=y2)
-        np.copyto(idx, y2, casting="unsafe")
-        y -= y2
-        np.multiply(y, y, out=y2)
-        # cos x = 1 - y2 (_COS2 - y2 _COS4) and sin x = y (_PHASE_STEP - y2
-        # _SIN3), through one scratch array.
-        np.multiply(y2, _COS4, out=t)
-        np.subtract(_COS2, t, out=t)
-        t *= y2
-        np.subtract(1.0, t, out=theta.real)
-        np.multiply(y2, _SIN3, out=t)
-        np.subtract(_PHASE_STEP, t, out=t)
-        np.multiply(y, t, out=theta.imag)
-        # Indices lie in [0, 4096), so clipping changes none; unlike the
-        # default mode it lets take write into `roots` without a buffer.
-        np.take(_PHASE_TABLE, idx, out=roots, mode="clip")
-        theta *= roots
+        work = scratch if theta.size == piece else [a[: theta.size] for a in scratch]
+        rng.random(out=work[0])
+        if _TANGENT_PHASES:
+            _tangent_piece(theta, *work)
+        else:
+            _table_piece(theta, *work)
     return out
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,81 @@ def test_phase_buffer_reuse_matches_fresh_draws(monkeypatch):
         assert got is out
         assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+KERNELS = pytest.mark.parametrize("tangent", [True, False], ids=["tangent", "table"])
+
+
+@KERNELS
+def test_each_phase_kernel_matches_complex_exp(monkeypatch, tangent):
+    # Whichever kernel this host chose at import, both stay within 2e-15 of
+    # exp(2 pi i u) and take exactly one uniform per entry.
+    monkeypatch.setattr(qmimo, "_TANGENT_PHASES", tangent)
+    shape = (50, 40, 30)
+    rng, twin = derive_rng(23), derive_rng(23)
+    theta = phase_matrix(rng, *shape)
+    reference = np.exp(2j * np.pi * twin.random(shape))
+    assert np.abs(theta - reference).max() < 2e-15
+    assert np.abs(np.abs(theta) - 1.0).max() < 1e-15
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@KERNELS
+def test_each_phase_kernel_reuses_buffers_bitwise(monkeypatch, tangent):
+    # The reuse test above, with each kernel forced and its own scratch set.
+    monkeypatch.setattr(qmimo, "_TANGENT_PHASES", tangent)
+    shape = (5, 29, 13)
+    rng, twin = derive_rng(37), derive_rng(37)
+    fresh = [phase_matrix(twin, *shape) for _ in range(2)]
+    monkeypatch.setattr(qmimo, "_PIECE_ENTRIES", 999)
+    out = np.full(shape, complex(np.nan, np.nan))
+    scratch = qmimo._phase_scratch(out.size)
+    for want in fresh:
+        assert phase_matrix(rng, *shape, out=out, scratch=scratch) is out
+        assert out.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_phase_kernels_differ_only_in_the_last_bits(monkeypatch):
+    # Hosts that choose different kernels draw the same stream into phases
+    # that differ by rounding only.
+    draws = {}
+    for tangent in (True, False):
+        monkeypatch.setattr(qmimo, "_TANGENT_PHASES", tangent)
+        rng = derive_rng(41)
+        draws[tangent] = phase_matrix(rng, 300, 40), rng.bit_generator.state
+    (tan_theta, tan_state), (table_theta, table_state) = draws[True], draws[False]
+    assert tan_state == table_state
+    assert tan_theta.tobytes() != table_theta.tobytes()
+    assert np.abs(tan_theta - table_theta).max() < 4e-15
+
+
+@pytest.mark.parametrize(
+    "loops, simd",
+    [
+        ({"tan": {"dd": {"current": "X86_V4", "available": "X86_V4 baseline(X86_V2)"}}}, True),
+        ({"tan": {"dd": {"current": "baseline(X86_V2)", "available": "X86_V4"}}}, False),
+        ({}, False),
+    ],
+    ids=["simd", "baseline", "unlisted"],
+)
+def test_tangent_kernel_chosen_only_for_a_simd_tan(monkeypatch, loops, simd):
+    introspect = pytest.importorskip("numpy.lib.introspect")
+    asked = []
+
+    def opt_func_info(**kwargs):
+        asked.append(kwargs)
+        return loops
+
+    monkeypatch.setattr(introspect, "opt_func_info", opt_func_info)
+    assert qmimo._simd_tan() is simd
+    assert asked == [{"func_name": "^tan$", "signature": "float64"}]
+
+
+def test_table_kernel_chosen_when_numpy_cannot_report_its_loops(monkeypatch):
+    # numpy before 2.0 has no numpy.lib.introspect.
+    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+    assert qmimo._simd_tan() is False
 
 
 @pytest.mark.parametrize(

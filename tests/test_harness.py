@@ -511,7 +511,7 @@ def test_cli_logs_stage_timings_outside_csv(tmp_path, capsys):
     [
         (["--sweep", "2,3", "--fit", "power_law"], ""),
         (["--sweep", "1,2,3", "--fit", "m_log_m_ratio"], ""),
-        (["--sweep", "2,3,4"], "fit = cubic\n"),  # the flag's choices do not guard a file
+        (["--sweep", "2,3,4"], "fit = cubic\n"),  # the flag's choices guard a file too
     ],
 )
 def test_cli_fit_preconditions_exit_2_before_any_point(monkeypatch, tmp_path, argv, config):
@@ -589,6 +589,27 @@ def test_cli_config_value_may_start_with_a_dash(monkeypatch, tmp_path):
     cfg.write_text("out = -point.csv\nm = 2\nbeta = 2\ntrials = 4\nsample_size = 2\n")
     assert main(["--config", str(cfg)]) == 0
     assert (tmp_path / "-point.csv").read_text().splitlines()[0] == CSV_HEADER
+
+
+def test_cli_config_hash_inside_a_value_is_not_a_comment(monkeypatch, tmp_path):
+    # Only a # at the start of a line or after whitespace starts a comment;
+    # cutting at the first # used to write this CSV to a file named "run".
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "hash.cfg"
+    cfg.write_text(
+        "# profile\nout = run#3.csv\nbeta = 3.0  # note\nm = 2\ntrials = 4\n"
+        "sample_size = 2\t# tab\n"
+    )
+    assert load_config(str(cfg)) == {
+        "out": "run#3.csv",
+        "beta": "3.0",
+        "m": "2",
+        "trials": "4",
+        "sample_size": "2",
+    }
+    assert main(["--config", str(cfg)]) == 0
+    assert (tmp_path / "run#3.csv").read_text().splitlines()[0] == CSV_HEADER
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

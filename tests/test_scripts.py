@@ -31,3 +31,21 @@ def test_experiment_script_runs(argv):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("m", ["1,2,3", "0", "x"])
+def test_scaling_experiment_rejects_m_below_2(m):
+    # R_sum / (m log2 m) divides by zero at m = 1; the sweep is refused
+    # before any point runs.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "scaling_experiment.py"), "--m", m,
+         "--trials", "4", "--sample-size", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    (err,) = [ln for ln in done.stderr.splitlines() if "error" in ln]
+    assert err.startswith("scaling_experiment.py: error: argument --m:")
+    assert "Traceback" not in done.stderr
