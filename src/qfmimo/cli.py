@@ -8,9 +8,9 @@ and choices, and a flag wins because argparse keeps the last value it sees.
 Scientific output is a CSV on --out (stdout when omitted); timing and fit
 summaries go to stderr so the CSV stays byte-reproducible.
 
-Exit codes: 0 success, 2 invalid configuration (an --out path that cannot
-be written included, found before any point runs), 3 numerical failure or
-a size too large for memory.
+Exit codes: 0 success, 2 invalid configuration (an --out path that is
+empty or cannot be written included, found before any point runs), 3
+numerical failure or a size too large for memory.
 """
 
 from __future__ import annotations
@@ -148,11 +148,16 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--fit needs a --sweep with at least 3 points")
         if fit_model == "m_log_m_ratio" and min(m_list) < 2:
             raise ConfigError("--fit m_log_m_ratio needs every m >= 2 (log2 m must be > 0)")
-        if out:
-            # An unwritable CSV path fails now, not after every point has run.
+        if out is not None:
+            # An unwritable CSV path fails now, not after every point has run;
+            # an empty one names no file, so it does not fall back to stdout.
             folder = os.path.dirname(os.path.abspath(out))
-            if os.path.isdir(out) or not os.access(out if os.path.exists(out) else folder, os.W_OK):
-                raise ConfigError(f"--out {out} is not a writable file path")
+            if (
+                not out
+                or os.path.isdir(out)
+                or not os.access(out if os.path.exists(out) else folder, os.W_OK)
+            ):
+                raise ConfigError(f"--out {out!r} is not a writable file path")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -211,7 +216,7 @@ def _log_point(row: SweepRow) -> None:
 
 
 def _emit(series: ScalingSeries, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             write_csv(series, fh)
     else:

@@ -9,6 +9,16 @@ group and prefix tie are then put in (distance, index) order.  Group
 members are therefore kept sorted by source distance, ties in index order;
 the farthest member of a group sets the reference path loss used by the
 rate modules.
+
+Every pass over the n destinations (drawing, distances, cell ids, group
+ids, key fields, tie flags) runs in chunks of _CHUNK points that write
+straight into the arrays the realization keeps, so temporaries stay
+chunk-sized and a network of n <= _CHUNK takes one pass.  What a
+realization keeps is, at m = 128 and beta = 3 (n = 2**21): dest_pos
+32 MiB, source_dist 16 MiB, the sorted index array behind group_members
+16 MiB, and group_of and rank_of 4 MiB each.  Besides these, grouping
+holds an n-sized cell-id array (before the keys exist) and one n-sized
+array of ranks.
 """
 
 from __future__ import annotations
@@ -25,6 +35,12 @@ SOURCE_POS = (0.5, 0.5)
 MAX_EXCLUSION_RADIUS = 0.7
 
 MODES = ("tdma", "hier")
+
+# Points per pass of every n-sized loop of placement, grouping and the
+# cut-set bound.  Each pass writes into the arrays a realization keeps, so a
+# temporary holds at most one chunk; 2**15 points keep a pass's operands in
+# cache.
+_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -201,20 +217,32 @@ def _group(
     """Grid/group bookkeeping for checked positions and their source distances."""
     n = dest_pos.shape[0]
     # Points exactly on the upper/right boundary fold into the last cell:
-    # floor(min(x * g, g - 1)) is min(floor(x * g), g - 1).
+    # floor(min(x * g, g - 1)) is min(floor(x * g), g - 1).  Assigning the
+    # floats truncates them as astype does.
     cell_dtype = np.min_scalar_type(g * g - 1)
-    scaled = dest_pos[:, 1] * g
-    cell_id = np.minimum(scaled, g - 1, out=scaled).astype(cell_dtype)
-    cell_id *= g
-    np.multiply(dest_pos[:, 0], g, out=scaled)
-    cell_id += np.minimum(scaled, g - 1, out=scaled).astype(cell_dtype)
+    cell_id = np.empty(n, dtype=cell_dtype)
+    for s in _chunks(n):
+        scaled = dest_pos[s, 1] * g
+        cell_id[s] = np.minimum(scaled, g - 1, out=scaled)
+        cell_id[s] *= g
+        np.multiply(dest_pos[s, 0], g, out=scaled)
+        cell_id[s] += np.minimum(scaled, g - 1, out=scaled).astype(cell_dtype)
     del scaled
-    counts = np.bincount(cell_id, minlength=g * g)
+    # bincount casts its input to intp and returns g * g counts, so it takes
+    # slices of at least g * g ids: the cast then never outgrows the counts.
+    stride = max(_CHUNK, g * g)
+    counts = np.zeros(g * g, dtype=np.intp)
+    for lo in range(0, n, stride):
+        counts += np.bincount(cell_id[lo:lo + stride], minlength=g * g)
     occupied = np.flatnonzero(counts)
     # The narrowest unsigned group id keeps group_of small at large n.
     group_id = np.zeros(g * g, dtype=np.min_scalar_type(occupied.size - 1))
     group_id[occupied] = np.arange(occupied.size)
-    group_of = group_id[cell_id]
+    group_of = np.empty(n, dtype=group_id.dtype)
+    for s in _chunks(n):
+        # Cell ids are in range, so clipping never acts; unlike the default
+        # mode it lets take write into out without a buffer.
+        np.take(group_id, cell_id[s], out=group_of[s], mode="clip")
     del cell_id  # keeps peak memory down at large n
 
     # One in-place sort of uint64 keys (group | distance prefix | index,
@@ -227,25 +255,31 @@ def _group(
     group_bits = max(1, (occupied.size - 1).bit_length())
     dist_bits = 64 - index_bits - group_bits
     bits = source_dist.view(np.uint64)
-    key = bits - bits.min()
-    key >>= max(0, int(key.max()).bit_length() - dist_bits)
-    high = group_of.astype(np.uint64)
-    high <<= dist_bits
-    key |= high
-    del high
-    key <<= index_bits
-    key |= np.arange(n, dtype=np.uint64)
+    low = bits.min()
+    shift = max(0, (int(bits.max()) - int(low)).bit_length() - dist_bits)
+    key = np.empty(n, dtype=np.uint64)
+    for s in _chunks(n):
+        part = np.subtract(bits[s], low, out=key[s])
+        part >>= shift
+        part |= np.left_shift(group_of[s], dist_bits, dtype=np.uint64)
+        part <<= index_bits
+        part |= np.arange(s.start, s.stop, dtype=np.uint64)
     key.sort()
     mask = 2**index_bits - 1
-    same = (key[1:] ^ key[:-1]) <= mask
-    if same.any():
-        tied = np.flatnonzero(np.concatenate(([False], same)) | np.concatenate((same, [False])))
+    # Flag both keys of every neighbouring pair that ties in its high bits.
+    tied = np.zeros(n, dtype=bool)
+    for s in _chunks(n - 1):
+        same = (key[s.start + 1:s.stop + 1] ^ key[s]) <= mask
+        tied[s] |= same
+        tied[s.start + 1:s.stop + 1] |= same
+    if tied.any():
+        tied = np.flatnonzero(tied)
         # Tied positions can hold runs of two groups side by side, so the
         # group and prefix bits stay the primary sort key of the repair.
         runs = key[tied]
         dist = source_dist[(runs & mask).view(np.intp)]
         key[tied] = runs[np.lexsort((runs, dist, runs >> index_bits))]
-    del same
+    del tied
     # The low bits of the sorted keys are the permutation.
     key &= mask
     order = key.view(np.intp)
@@ -282,9 +316,13 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
     exceeds exclusion_radius.
     """
     n = params.n
-    pos = rng.random((n, 2))
+    pos = np.empty((n, 2))
     src = np.asarray(SOURCE_POS, dtype=float)
-    dist = _source_dist(pos, src)
+    dist = np.empty(n)
+    # Chunks of rows draw the same stream as one (n, 2) draw.
+    for s in _chunks(n):
+        rng.random(out=pos[s])
+        _source_dist(pos[s], src, out=dist[s])
     r = params.exclusion_radius
     if r > 0.0:
         # Only redrawn points can land inside again, so each pass rechecks
@@ -299,18 +337,28 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
     return _group(pos, partition_cells(n, params.q), src, dist)
 
 
-def _source_dist(pos: np.ndarray, src: np.ndarray) -> np.ndarray:
+def _chunks(n: int) -> list[slice]:
+    """Consecutive slices of at most _CHUNK points that cover range(n)."""
+    return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+
+
+def _source_dist(
+    pos: np.ndarray, src: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Row distances to src, bitwise equal to norm(pos - src, axis=1).
 
-    Works one column at a time in place, so the only temporary besides the
-    result is one column of squares.
+    Works chunk by chunk and one column at a time in place in out (a new
+    array by default), so the only temporary is a chunk of squares.
     """
-    dist = pos[:, 0] - src[0]
-    dist *= dist
-    dy = pos[:, 1] - src[1]
-    dy *= dy
-    dist += dy
-    return np.sqrt(dist, out=dist)
+    dist = np.empty(pos.shape[0]) if out is None else out
+    for s in _chunks(dist.size):
+        d = np.subtract(pos[s, 0], src[0], out=dist[s])
+        d *= d
+        dy = pos[s, 1] - src[1]
+        dy *= dy
+        d += dy
+        np.sqrt(d, out=d)
+    return dist
 
 
 def cell_occupancy_stats(realization: NetworkRealization) -> tuple[int, int, float]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from qfmimo import (
     derive_rng,
     lozano_regime_value,
     mimo_ergodic_capacity_mc,
+    netgeom,
+    place_nodes,
     realization_from_positions,
 )
 
@@ -46,6 +49,35 @@ def test_cutset_zero_power():
     for beta in (0.5, 1.5):
         p = NetworkParams(m=4, beta=beta, p0=0.0)
         assert cutset_upper_bound(TWIN, p).value == 0.0
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5], ids=["beta<=1", "beta>1"])
+def test_cutset_sums_over_chunks(monkeypatch, beta):
+    # One pass is a single numpy sum bit for bit; chunk sums agree with it
+    # to rounding.
+    r = place_nodes(NetworkParams(m=10, beta=3.0, seed=4), derive_rng(4, 0))
+    p = NetworkParams(m=10, beta=beta)
+    one_pass = cutset_upper_bound(r, p)
+    d = r.source_dist
+    assert one_pass.distance_sum == float(np.sum(d**-p.alpha))
+    monkeypatch.setattr(netgeom, "_CHUNK", 101)
+    chunked = cutset_upper_bound(r, p)
+    assert chunked.distance_sum == pytest.approx(one_pass.distance_sum, rel=1e-13)
+    assert chunked.value == pytest.approx(one_pass.value, rel=1e-13)
+
+
+@pytest.mark.parametrize("beta", [0.5, 3.0], ids=["beta<=1", "beta>1"])
+def test_cutset_allocates_no_n_sized_temporary(beta):
+    r = place_nodes(NetworkParams(m=64, beta=3.0, seed=1), derive_rng(1, 0))
+    assert r.n == 2**18
+    tracemalloc.start()
+    try:
+        cutset_upper_bound(r, NetworkParams(m=64, beta=beta))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One chunk of float64 terms, against 2 MiB for an n-sized column.
+    assert peak <= 8 * netgeom._CHUNK + 4096
 
 
 def test_mc_capacity_scalar_channel_exact():

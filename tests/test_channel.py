@@ -29,8 +29,8 @@ def test_gamma_entries_at_least_one(dists, alpha):
 
 
 def test_phase_kernel_matches_complex_exp():
-    # The table-plus-polynomial kernel against exp(2 pi i u) on the same draws,
-    # taking exactly one uniform per entry from the stream.
+    # Whichever kernel this host chose at import, against exp(2 pi i u) on the
+    # same draws, taking exactly one uniform per entry from the stream.
     shape = (50, 40, 30)
     rng, twin = derive_rng(21), derive_rng(21)
     theta = phase_matrix(rng, *shape)

@@ -628,6 +628,22 @@ def test_cli_empty_sweep_exits_2_before_any_point(no_point, tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [(["--out", ""], ""), ([], "out =\n"), ([], "out = #3.csv\n")],
+    ids=["flag", "config", "config_comment"],
+)
+def test_cli_empty_out_exits_2_before_any_point(no_point, tmp_path, capsys, argv, config):
+    # An empty path used to send the CSV to stdout with exit 0.
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(config)
+    assert main(["--config", str(cfg), *argv, "--m", "2", "--beta", "2"]) == 2
+    captured = capsys.readouterr()
+    (err,) = captured.err.splitlines()
+    assert err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_cli_config_file_gives_the_flags_csv(tmp_path):
     flags = ["--sweep", "2,3,4", "--beta", "2", "--mode", "hier", "--q", "0.05",
              "--trials", "8", "--sample-size", "2", "--seed", "5", "--fit", "power_law"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from qfmimo import (
     min_source_distance,
     partition_cells,
     place_nodes,
+    netgeom,
     realization_from_positions,
 )
 
@@ -403,3 +406,95 @@ def test_non_integer_grid_side_rejected(grid_side):
     with pytest.raises(ValueError):
         realization_from_positions(np.array([(0.3, 0.3)]), grid_side=grid_side)
     assert realization_from_positions(np.array([(0.3, 0.3)]), grid_side=np.int64(2)).grid_side == 2
+
+
+# Small and odd, so that no chunk edge lines up with a group or a grid row.
+SMALL_CHUNK = 101
+
+
+def _assert_same_realization(a, b):
+    """Every array (values and dtypes) and every group list agree."""
+    for name in ("source_pos", "dest_pos", "source_dist", "group_of", "rank_of", "cell_counts"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+    assert a.grid_side == b.grid_side
+    assert a.group_cells == b.group_cells
+    assert len(a.group_members) == len(b.group_members)
+    for x, y in zip(a.group_members, b.group_members):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n", [50, SMALL_CHUNK, SMALL_CHUNK + 1, 1000])
+def test_chunked_placement_matches_one_pass(monkeypatch, n):
+    # n below, at, one past and not a multiple of the chunk.  The wide
+    # exclusion disk makes the redraw loop run several passes, and at
+    # n = 1000 the 22 x 22 grid has more cells than a chunk has points.
+    p = NetworkParams(m=n, beta=1.0, q=0.9, exclusion_radius=0.3, seed=n)
+    rng_one = derive_rng(p.seed, 0)
+    one_pass = place_nodes(p, rng_one)
+    monkeypatch.setattr(netgeom, "_CHUNK", SMALL_CHUNK)
+    rng = derive_rng(p.seed, 0)
+    chunked = place_nodes(p, rng)
+    _assert_same_realization(chunked, one_pass)
+    assert rng.bit_generator.state == rng_one.bit_generator.state
+    _assert_lexsort_grouping(chunked)
+
+
+def test_chunked_grouping_repairs_ties_across_a_chunk_edge(monkeypatch):
+    # Lattice points give runs of equal distances in one group; with a small
+    # chunk some run crosses a chunk edge of the sorted keys, where the tie
+    # flags of two passes meet.
+    rng = np.random.default_rng(17)
+    pos = rng.integers(0, 13, size=(1000, 2)) / 12
+    one_pass = realization_from_positions(pos, grid_side=3)
+    monkeypatch.setattr(netgeom, "_CHUNK", SMALL_CHUNK)
+    chunked = realization_from_positions(pos, grid_side=3)
+    _assert_same_realization(chunked, one_pass)
+    _assert_lexsort_grouping(chunked)
+    order = np.concatenate(chunked.group_members)
+    group, dist = chunked.group_of[order], chunked.source_dist[order]
+    ties = np.flatnonzero((group[1:] == group[:-1]) & (dist[1:] == dist[:-1]))
+    assert np.any((ties + 1) % SMALL_CHUNK == 0)
+
+
+def test_chunked_grouping_repairs_sub_ulp_pairs_at_chunk_edges(monkeypatch):
+    # A destination at the source makes the distance prefix drop low bits,
+    # so each pair on the source's row, one ulp of x apart and listed
+    # farthest first, ties in its prefix and only the repair orders it.  In
+    # one group pair k sits at sorted positions 2k + 1 and 2k + 2, so with a
+    # chunk of 7 some pairs end at a chunk's first key, and the last pair
+    # ends at the last key.
+    xs = 0.6 + 0.007 * np.arange(40)
+    pairs = np.stack([np.nextafter(xs, 1.0), xs], axis=-1).ravel()
+    ray = np.stack([pairs, np.full(80, 0.5)], axis=-1)
+    pos = np.concatenate([[(0.5, 0.5)], ray])
+    one_pass = realization_from_positions(pos, grid_side=1)
+    _assert_lexsort_grouping(one_pass)
+    monkeypatch.setattr(netgeom, "_CHUNK", 7)
+    chunked = realization_from_positions(pos, grid_side=1)
+    _assert_same_realization(chunked, one_pass)
+    assert np.array_equal(chunked.group_members[0][1:7], [2, 1, 4, 3, 6, 5])
+
+
+def test_place_nodes_allocates_no_n_sized_temporary():
+    # Beyond what the realization keeps, placement may hold one n-sized
+    # array of ranks and scratch of a few chunks, never an 8-byte column.
+    p = NetworkParams(m=64, beta=3.0, seed=2)
+    tracemalloc.start()
+    try:
+        r = place_nodes(p, derive_rng(p.seed, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.n == 2**18
+    kept = (
+        r.dest_pos.nbytes
+        + r.source_dist.nbytes
+        + r.n * np.dtype(np.intp).itemsize  # the index array behind group_members
+        + r.group_of.nbytes
+        + r.rank_of.nbytes
+        + r.cell_counts.nbytes
+    )
+    assert peak <= kept + r.rank_of.nbytes + 2 * 8 * netgeom._CHUNK
