@@ -21,6 +21,7 @@ import sys
 import time
 
 from qfmimo import NetworkParams, fit_scaling, run_sweep
+from qfmimo.harness import _one_blas_thread
 
 # Per-mode defaults of --beta and --sample-size.
 PROFILES = {
@@ -67,6 +68,8 @@ def main() -> int:
         sample_size=profile["sample_size"] if args.sample_size is None else args.sample_size,
     )
 
+    # As in the CLI: one BLAS thread per process, parallelism from --workers.
+    _one_blas_thread()
     t0 = time.perf_counter()
     series = run_sweep(params, args.m, workers=args.workers)
     elapsed = time.perf_counter() - t0

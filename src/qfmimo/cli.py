@@ -6,7 +6,9 @@ the only reader of settings: each config line becomes a --key=value token
 placed before the command-line arguments, so both sources get the same types
 and choices, and a flag wins because argparse keeps the last value it sees.
 Scientific output is a CSV on --out (stdout when omitted); timing and fit
-summaries go to stderr so the CSV stays byte-reproducible.
+summaries go to stderr so the CSV stays byte-reproducible.  A valid run
+keeps OpenBLAS on one thread per process, unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS is set, so --workers is the only source of parallelism.
 
 Exit codes: 0 success, 2 invalid configuration (an --out path that is
 empty or cannot be written included, found before any point runs), 3
@@ -31,6 +33,7 @@ from .harness import (
     ScalingSeries,
     SweepFailure,
     SweepRow,
+    _one_blas_thread,
     fit_scaling,
     run_point,
     run_sweep,
@@ -161,6 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # Parallelism comes from --workers; a BLAS thread per core would contend.
+    _one_blas_thread()
 
     try:
         # run_point rejects every non-finite output, so numpy's warnings on

@@ -10,16 +10,22 @@ column always carries the placeholder 0.0 -- the one field a real clock
 would otherwise leak into the reproducible artifact.  The rate stage's time
 is further split into link capacities plus quantization noise and the Monte
 Carlo log-det.
+
+Entry points (the CLI, every sweep worker process, the scaling script) run
+OpenBLAS on the calling thread, so parallelism comes from workers alone;
+library calls leave the process's BLAS threads as they are.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from time import perf_counter
 from typing import IO, Iterable
 
@@ -42,6 +48,66 @@ FIT_MODELS = ("power_law", "m_log_m_ratio")
 # the distance should exceed n**-(1 + MIN_DISTANCE_SLACK) in all but a
 # vanishing fraction of realizations.
 MIN_DISTANCE_SLACK = 0.1
+
+
+# Thread-count setters of the OpenBLAS builds numpy ships or links, tried in
+# this order; numpy 2.x wheels export the scipy_openblas names.
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+)
+
+# Either variable is the user's own thread count, which wins over the pin.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _mapped_files() -> list[str]:
+    """Paths of the files mapped into this process; none without /proc."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            lines = fh.readlines()
+    except OSError:
+        return []
+    # A file mapping's line ends in its path, which may contain spaces.
+    return list(dict.fromkeys(line.split(maxsplit=5)[-1].strip() for line in lines))
+
+
+@cache
+def _openblas_setter():
+    """OpenBLAS's set-thread-count function, looked up once, or None."""
+    for path in _mapped_files():
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Run OpenBLAS on the calling thread unless the user set a thread count.
+
+    Any other BLAS, or a process without /proc, is left as it is.
+    """
+    if any(var in os.environ for var in _BLAS_THREAD_VARS):
+        return
+    setter = _openblas_setter()
+    if setter is not None:
+        setter(1)
+
+
+def _init_worker(errors: dict[str, str]) -> None:
+    """Sweep pool initializer: the caller's numpy error settings, one BLAS thread."""
+    np.seterr(**errors)
+    _one_blas_thread()
 
 
 class ConfigError(ValueError):
@@ -242,10 +308,11 @@ def run_sweep(
     """Run one point per m and assemble rows in ascending m order.
 
     Points are independent, so any worker count yields identical rows, and
-    workers run under the caller's numpy floating-point error settings; the
-    pool never starts more workers than there are points.  If a point fails
-    (a size too large for memory included), the completed rows are flushed
-    into SweepFailure.partial.
+    workers run under the caller's numpy floating-point error settings with
+    OpenBLAS on one thread each; the pool never starts more workers than
+    there are points, and a serial sweep leaves this process's BLAS alone.
+    If a point fails (a size too large for memory included), the completed
+    rows are flushed into SweepFailure.partial.
     """
     m_list = list(m_list)
     # int() would truncate 2.7 to 2 and turn True into 1; numpy integers,
@@ -264,7 +331,7 @@ def run_sweep(
     parallel = workers > 1 and len(m_list) > 1
     executor = (
         ProcessPoolExecutor(
-            max_workers=min(workers, len(m_list)), initializer=partial(np.seterr, **np.geterr())
+            max_workers=min(workers, len(m_list)), initializer=partial(_init_worker, np.geterr())
         )
         if parallel
         else nullcontext()

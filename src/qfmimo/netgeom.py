@@ -10,15 +10,15 @@ members are therefore kept sorted by source distance, ties in index order;
 the farthest member of a group sets the reference path loss used by the
 rate modules.
 
-Every pass over the n destinations (drawing, distances, cell ids, group
-ids, key fields, tie flags) runs in chunks of _CHUNK points that write
-straight into the arrays the realization keeps, so temporaries stay
-chunk-sized and a network of n <= _CHUNK takes one pass.  What a
-realization keeps is, at m = 128 and beta = 3 (n = 2**21): dest_pos
+Every pass over the n destinations (drawing, distances, the exclusion-disk
+check, cell ids, group ids, key fields, tie flags, ranks) runs in chunks of
+_CHUNK points that write straight into the arrays the realization keeps, so
+temporaries stay chunk-sized and a network of n <= _CHUNK takes one pass.
+What a realization keeps is, at m = 128 and beta = 3 (n = 2**21): dest_pos
 32 MiB, source_dist 16 MiB, the sorted index array behind group_members
 16 MiB, and group_of and rank_of 4 MiB each.  Besides these, grouping
-holds an n-sized cell-id array (before the keys exist) and one n-sized
-array of ranks.
+holds an n-sized cell-id array before the keys exist and n bytes of tie
+flags while it repairs ties.
 """
 
 from __future__ import annotations
@@ -280,20 +280,22 @@ def _group(
         dist = source_dist[(runs & mask).view(np.intp)]
         key[tied] = runs[np.lexsort((runs, dist, runs >> index_bits))]
     del tied
-    # The low bits of the sorted keys are the permutation.
-    key &= mask
-    order = key.view(np.intp)
     sizes = counts[occupied]
     starts = np.cumsum(sizes) - sizes
-    # Ranks in group order are a running count that restarts at each group
-    # start, kept in the narrowest unsigned type.  The restart steps wrap
-    # around, which is exact since every partial sum is a rank.
+    # A destination's rank is its sorted position less the start of the
+    # group its key's high bits name, kept in the narrowest unsigned type.
+    # The subtraction wraps around in that type, which is exact since every
+    # rank fits.  The low bits of the sorted keys are the permutation.
     rank_dtype = np.min_scalar_type(sizes.max() - 1)
-    step = np.ones(n, dtype=rank_dtype)
-    step[0] = 0
-    step[starts[1:]] = (1 - sizes[:-1]).astype(rank_dtype)
+    neg_starts = (-starts).astype(rank_dtype)
     rank_of = np.empty(n, dtype=rank_dtype)
-    rank_of[order] = np.cumsum(step, dtype=rank_dtype, out=step)
+    for s in _chunks(n):
+        part = key[s]
+        rank = np.take(neg_starts, (part >> (dist_bits + index_bits)).view(np.intp))
+        rank += np.arange(s.start, s.stop).astype(rank_dtype)
+        part &= mask
+        rank_of[part.view(np.intp)] = rank
+    order = key.view(np.intp)
 
     return NetworkRealization(
         source_pos=src,
@@ -319,18 +321,23 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
     pos = np.empty((n, 2))
     src = np.asarray(SOURCE_POS, dtype=float)
     dist = np.empty(n)
+    r = params.exclusion_radius
+    inside = []
     # Chunks of rows draw the same stream as one (n, 2) draw.
     for s in _chunks(n):
         rng.random(out=pos[s])
         _source_dist(pos[s], src, out=dist[s])
-    r = params.exclusion_radius
-    if r > 0.0:
+        if r > 0.0:
+            inside.append(s.start + np.flatnonzero(dist[s] <= r))
+    if inside:
         # Only redrawn points can land inside again, so each pass rechecks
         # just those; ascending indices draw in the same order as a mask.
-        redo = np.flatnonzero(dist <= r)
+        redo = np.concatenate(inside)
+        del inside
         while redo.size:
-            pos[redo] = rng.random((redo.size, 2))
-            redo_dist = _source_dist(pos[redo], src)
+            redo_pos = rng.random((redo.size, 2))
+            pos[redo] = redo_pos
+            redo_dist = _source_dist(redo_pos, src)
             dist[redo] = redo_dist
             redo = redo[redo_dist <= r]
     # Uniform draws lie in [0, 1), so the coordinate check is not needed.

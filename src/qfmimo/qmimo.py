@@ -43,12 +43,14 @@ trial count beyond the (trials, k, k) Gram stack and one block of phases.
 A Gram product of at least 2**16 complex multiply-adds per trial is formed
 from the interleaved (re, im) float view x of the phase block as the real
 symmetric product x^T x, one BLAS dsyrk with half the flops, and folded into
-complex form; OpenBLAS keeps that dsyrk on the calling thread for k < 64,
-where it would split the complex product across cores.  Smaller products
-stay one complex matmul.  A tall channel (more rows than antennas) whose row
-scales are so strongly graded that forming S'S would lose its small
-eigenvalues raises FloatingPointError instead of returning an inaccurate
-rate.
+complex form.  For a library caller at OpenBLAS's default thread count,
+that dsyrk stays on the calling thread for k < 64, where the complex
+product would be split across cores; the CLI, its sweep workers and the
+scaling script pin OpenBLAS to one thread anyway (harness._one_blas_thread).
+Smaller products stay one complex matmul.  A tall channel (more rows than
+antennas) whose row scales are so strongly graded that forming S'S would
+lose its small eigenvalues raises FloatingPointError instead of returning
+an inaccurate rate.
 """
 
 from __future__ import annotations
@@ -109,12 +111,14 @@ _BLOCK_ENTRIES = 2**13
 
 # Complex multiply-adds of one trial's Gram product, max(rows, m) * k * k,
 # from which ergodic_logdet forms it as a real symmetric rank-k update.  On a
-# 2-core x86-64 machine with numpy 2.4 and OpenBLAS 0.3.31, a complex product
-# of 2**16 multiply-adds (64 x 32) is split across both cores, whose worker
-# thread then spins through the phase draws; 40 x 32 to 56 x 32 still run on
-# the calling thread, where the real form is slower (40 x 32: 12.6 against
-# 9.1 us a trial).  The real form at every size made a sweep of m = 6..8
-# points, whose Gram matrices are at most 8 x 8, about 9% slower end to end.
+# 2-core x86-64 machine with numpy 2.4 and OpenBLAS 0.3.31 at its default
+# thread count, as a library caller runs it, a complex product of 2**16
+# multiply-adds (64 x 32) is split across both cores, whose worker thread
+# then spins through the phase draws; 40 x 32 to 56 x 32 still run on the
+# calling thread, where the real form is slower (40 x 32: 12.6 against
+# 9.1 us a trial).  The CLI runs OpenBLAS on one thread, which splits
+# nothing.  The real form at every size made a sweep of m = 6..8 points,
+# whose Gram matrices are at most 8 x 8, about 9% slower end to end.
 _REAL_FORM_MACS = 2**16
 
 # Largest eps * m * sum(row_scale**2) for which the tall Gram S'S keeps the

@@ -28,6 +28,7 @@ from qfmimo import (
     run_sweep,
     write_csv,
 )
+from qfmimo import harness
 from qfmimo.cli import build_parser, load_config, main
 
 FAST = dict(trials=16, sample_size=4)
@@ -662,3 +663,114 @@ def test_sweep_rejects_non_integer_m_values():
             run_sweep(p, m_list)
     rows = run_sweep(p, np.arange(2, 4)).rows
     assert [r.to_csv() for r in rows] == [r.to_csv() for r in run_sweep(p, [2, 3]).rows]
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread per entry-point process
+# ---------------------------------------------------------------------------
+
+TINY_POINT = ["--m", "2", "--beta", "2", "--trials", "2", "--sample-size", "2"]
+
+
+@pytest.fixture
+def no_thread_vars(monkeypatch):
+    for var in harness._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.fixture
+def setter_calls(no_thread_vars, monkeypatch):
+    """Thread counts passed to a stand-in OpenBLAS setter."""
+    calls = []
+    monkeypatch.setattr(harness, "_openblas_setter", lambda: calls.append)
+    return calls
+
+
+@pytest.fixture
+def two_blas_threads(no_thread_vars, openblas_threads):
+    """The process's OpenBLAS set to two threads; returns its thread getter."""
+    harness._openblas_setter()(2)
+    return openblas_threads
+
+
+def test_cli_pins_openblas_to_one_thread(two_blas_threads, tmp_path):
+    assert main([*TINY_POINT, "--out", str(tmp_path / "point.csv")]) == 0
+    assert two_blas_threads() == 1
+
+
+def test_sweep_worker_initializer_pins_openblas(two_blas_threads):
+    with np.errstate():
+        errors = {**np.geterr(), "over": "raise", "invalid": "warn"}
+        harness._init_worker(errors)
+        assert np.geterr() == errors
+    assert two_blas_threads() == 1
+
+
+def test_sweep_pool_initializer_pins_blas_in_each_worker(setter_calls, monkeypatch):
+    class InProcessPool:
+        # Runs the initializer once per worker and maps in this process.
+        def __init__(self, max_workers, initializer):
+            for _ in range(max_workers):
+                initializer()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    p = NetworkParams(m=2, beta=2.0, seed=4, **FAST)
+    run_sweep(p, [2, 3], workers=2)
+    assert setter_calls == [1, 1]
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_explicit_blas_thread_setting_wins_over_the_pin(setter_calls, monkeypatch, tmp_path, var):
+    monkeypatch.setenv(var, "2")
+    harness._one_blas_thread()
+    assert main([*TINY_POINT, "--out", str(tmp_path / "point.csv")]) == 0
+    assert setter_calls == []
+    monkeypatch.delenv(var)
+    harness._one_blas_thread()
+    assert setter_calls == [1]
+
+
+@pytest.mark.parametrize("mapped", [[], ["/nonexistent/libopenblas.so.0", "[heap]"]],
+                         ids=["no_proc", "no_loadable_openblas"])
+def test_blas_pin_is_a_no_op_without_an_openblas_setter(monkeypatch, mapped):
+    monkeypatch.setattr(harness, "_mapped_files", lambda: mapped)
+    harness._openblas_setter.cache_clear()
+    try:
+        assert harness._openblas_setter() is None
+        harness._one_blas_thread()
+    finally:
+        harness._openblas_setter.cache_clear()
+
+
+def test_library_calls_and_rejected_settings_leave_blas_threads_alone(
+    setter_calls, tmp_path, capsys
+):
+    p = NetworkParams(m=2, beta=2.0, seed=4, **FAST)
+    run_point(p)
+    run_sweep(p, [2, 3])
+    assert main(["--workers", "0"]) == 2
+    assert main(["--alpha", "1.5", "--out", str(tmp_path / "bad.csv")]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 2
+    assert setter_calls == []
+    assert main([*TINY_POINT, "--out", str(tmp_path / "ok.csv")]) == 0
+    assert setter_calls == [1]
+
+
+def test_cli_sweep_csv_bytes_independent_of_worker_count(tmp_path):
+    # m = 64 is the first point whose Gram products are 128 wide in real
+    # form, where an unpinned OpenBLAS would split them across cores.
+    argv = ["--sweep", "48,64", "--beta", "3", "--mode", "hier", "--trials", "8",
+            "--sample-size", "4", "--seed", "17"]
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}.csv"
+        assert main([*argv, "--workers", workers, "--out", str(out)]) == 0
+    assert (tmp_path / "workers1.csv").read_bytes() == (tmp_path / "workers2.csv").read_bytes()

@@ -498,3 +498,62 @@ def test_place_nodes_allocates_no_n_sized_temporary():
         + r.cell_counts.nbytes
     )
     assert peak <= kept + r.rank_of.nbytes + 2 * 8 * netgeom._CHUNK
+
+
+def _reference_placement(n, radius, rng):
+    """Positions and source distances drawn in one pass, then redrawn by mask."""
+    src = np.asarray(netgeom.SOURCE_POS)
+    pos = rng.random((n, 2))
+    dist = np.linalg.norm(pos - src, axis=1)
+    inside = dist <= radius if radius > 0.0 else np.zeros(n, dtype=bool)
+    while inside.any():
+        pos[inside] = rng.random((np.count_nonzero(inside), 2))
+        dist[inside] = np.linalg.norm(pos[inside] - src, axis=1)
+        inside &= dist <= radius
+    return pos, dist
+
+
+@pytest.mark.parametrize("chunk", [None, SMALL_CHUNK], ids=["one_chunk", "many_chunks"])
+@pytest.mark.parametrize("radius", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exclusion_redraw_matches_reference_loop(monkeypatch, chunk, radius, seed):
+    # n = 1728 spans 18 chunks of 101; a radius of 0.5 redraws over half the
+    # points, several times over.
+    if chunk is not None:
+        monkeypatch.setattr(netgeom, "_CHUNK", chunk)
+    p = NetworkParams(m=12, beta=3.0, exclusion_radius=radius, seed=seed)
+    rng_ref = derive_rng(p.seed, 0)
+    pos, dist = _reference_placement(p.n, radius, rng_ref)
+    rng = derive_rng(p.seed, 0)
+    r = place_nodes(p, rng)
+    assert np.array_equal(r.dest_pos, pos)
+    assert np.array_equal(r.source_dist, dist)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert radius == 0.0 or dist.min() > radius
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5], ids=["one_group", "many_groups"])
+def test_place_nodes_ranks_need_only_chunk_scratch(monkeypatch, q):
+    # With a small chunk and no exclusion disk, placement holds the arrays
+    # the realization keeps plus a few chunks of scratch, so an n-sized
+    # rank temporary (the rank_of dtype is uint32 with one group, uint16
+    # with 529) would exceed the bound.  A warm-up call keeps numpy's
+    # first-use allocations out of the trace.
+    monkeypatch.setattr(netgeom, "_CHUNK", 2**12)
+    place_nodes(NetworkParams(m=8, beta=3.0, q=q, exclusion_radius=0.0), derive_rng(0, 0))
+    p = NetworkParams(m=64, beta=3.0, q=q, exclusion_radius=0.0, seed=2)
+    tracemalloc.start()
+    try:
+        r = place_nodes(p, derive_rng(p.seed, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = (
+        r.dest_pos.nbytes
+        + r.source_dist.nbytes
+        + r.n * np.dtype(np.intp).itemsize  # the index array behind group_members
+        + r.group_of.nbytes
+        + r.rank_of.nbytes
+        + r.cell_counts.nbytes
+    )
+    assert peak <= kept + 8 * 8 * netgeom._CHUNK

@@ -3,6 +3,7 @@
 conftest.py puts the source tree on PYTHONPATH for the child processes.
 """
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +50,19 @@ def test_scaling_experiment_rejects_m_below_2(m):
     (err,) = [ln for ln in done.stderr.splitlines() if "error" in ln]
     assert err.startswith("scaling_experiment.py: error: argument --m:")
     assert "Traceback" not in done.stderr
+
+
+def test_scaling_experiment_runs_blas_on_one_thread(monkeypatch, capsys):
+    from qfmimo import harness
+
+    calls = []
+    monkeypatch.setattr(harness, "_openblas_setter", lambda: calls.append)
+    for var in harness._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(sys, "argv", ["scaling_experiment.py", "--m", "2,3,4", "--beta", "2",
+                                      "--trials", "4", "--sample-size", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "scaling_experiment.py"), run_name="__main__")
+    assert exc.value.code == 0
+    assert calls == [1]
+    assert "log-log slope" in capsys.readouterr().out
