@@ -36,10 +36,12 @@ on the kernel, but the phases' last bits do.  The draws are mapped in pieces
 of at most 2**14 entries through a set of scratch arrays, and written into a
 caller-owned output buffer when one is given.
 
-The log-det kernel draws phases and forms Gram matrices in blocks of trials
-of about 8192 phase entries, into one phase buffer and one scratch set per
-call, so the working set stays in cache and memory does not grow with the
-trial count beyond the (trials, k, k) Gram stack and one block of phases.
+The log-det kernel takes one row-scale vector per channel, of any length,
+and draws phases and forms Gram matrices in blocks of trials of about 8192
+phase entries, into one phase buffer, one Gram buffer and one scratch set
+per channel.  Each block's Gram matrices go through one slogdet, so the
+working set stays in cache, and memory grows with the trial count only by
+one float log-det per trial and channel.
 A Gram product of at least 2**16 complex multiply-adds per trial is formed
 from the interleaved (re, im) float view x of the phase block as the real
 symmetric product x^T x, one BLAS dsyrk with half the flops, and folded into
@@ -125,10 +127,10 @@ _REAL_FORM_MACS = 2**16
 # log-det accurate; beyond it roundoff swamps the small eigenvalues.
 _TALL_GRAM_LIMIT = 1e-3
 
-# Entries one destination batch of sum_rate may hold in its Gram stacks
-# (trials * k * k complex per destination) or, in tdma, in its interference
-# distances (at most n2 * n1 per receiver); a destination that alone exceeds
-# the budget forms a batch of one.
+# Entries one destination batch of sum_rate may hold per (J, n2) matrix of
+# capacities or noises, and in tdma in its interference distances (at most
+# n2 * n1 per receiver); a destination that alone exceeds the budget forms a
+# batch of one.
 _BATCH_ENTRIES = 3 * 2**14
 
 
@@ -226,7 +228,7 @@ def phase_matrix(
 
 
 def ergodic_logdet(
-    row_scale: np.ndarray,
+    row_scales: Sequence[np.ndarray],
     m: int,
     trials: int,
     rngs: Sequence[np.random.Generator],
@@ -234,35 +236,37 @@ def ergodic_logdet(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo means and standard errors of log2 det(I + S S'), one per channel.
 
-    Row r of the (J, rows) row_scale is channel r: S = diag(row_scale[r]) Th
-    with Th a fresh (rows, m) phase matrix per trial, drawn from rngs[r].
-    Returns two (J,) arrays.  The determinant is evaluated on the smaller
-    side of the product, and the channels' Gram matrices form one stack with
-    one slogdet call.  Trials are drawn in consecutive blocks into one phase
-    buffer and one scratch set, reused across blocks and channels, which
-    consume the same random stream as one draw of every trial.  The seconds
-    spent drawing phases are added to timings["phase"], the rest (row
-    scaling, Gram products and slogdet) to timings["gram"].  Raises
-    FloatingPointError when rows > m and a channel's row scales are too large
-    for the m x m Gram S'S to resolve det(I + S'S).
+    Channel r has the 1-D row scales row_scales[r], of any length rows:
+    S = diag(row_scales[r]) Th with Th a fresh (rows, m) phase matrix per
+    trial, drawn from rngs[r].  Returns two (J,) arrays; a channel of no rows
+    has log-det 0 and leaves its generator untouched.  The determinant is
+    evaluated on the smaller side of the product.  Each channel's trials are
+    drawn in consecutive blocks, which consume the same random stream as one
+    draw of every trial, and each block's Gram matrices go through one
+    slogdet call into a (J, trials) array of log-dets.  The seconds spent
+    drawing phases are added to timings["phase"], the rest (row scaling, Gram
+    products and slogdet) to timings["gram"].  Raises FloatingPointError,
+    before any draw, when a channel has rows > m and row scales too large for
+    the m x m Gram S'S to resolve det(I + S'S).
     """
     start = perf_counter()
-    count, rows = row_scale.shape
-    tall = rows > m
-    for scale in row_scale if tall else ():
-        if np.finfo(float).eps * m * (scale @ scale) > _TALL_GRAM_LIMIT:
+    for scale in row_scales:
+        if scale.size > m and np.finfo(float).eps * m * (scale @ scale) > _TALL_GRAM_LIMIT:
             raise FloatingPointError(
-                f"row scales up to {scale.max():.3g} over {rows} rows are too "
+                f"row scales up to {scale.max():.3g} over {scale.size} rows are too "
                 f"large for an accurate {m}x{m} Gram log-det"
             )
-    k = min(rows, m)
-    real_form = max(rows, m) * k * k >= _REAL_FORM_MACS
-    gram = np.empty((count, trials, k, k), dtype=complex)
-    block = max(1, min(trials, _BLOCK_ENTRIES // (rows * m)))
-    phases = np.empty((block, rows, m), dtype=complex)
-    scratch = _phase_scratch(phases.size)
+    vals = np.empty((len(row_scales), trials))
     drawing = 0.0
-    for out, scale, gen in zip(gram, row_scale, rngs):
+    for out, scale, gen in zip(vals, row_scales, rngs):
+        rows = scale.size
+        tall = rows > m
+        k = min(rows, m)
+        real_form = max(rows, m) * k * k >= _REAL_FORM_MACS
+        block = max(1, min(trials, _BLOCK_ENTRIES // max(1, rows * m)))
+        phases = np.empty((block, rows, m), dtype=complex)
+        gram = np.empty((block, k, k), dtype=complex)
+        scratch = _phase_scratch(phases.size)
         for lo in range(0, trials, block):
             hi = min(lo + block, trials)
             t0 = perf_counter()
@@ -271,6 +275,7 @@ def ergodic_logdet(
             # The same multiply on the float view is bitwise equal and faster.
             re_im = s.view(float)
             re_im *= scale[:, None]
+            g = gram[: hi - lo]
             if real_form:
                 # With x the (re, im)-interleaved float view of S (of a
                 # contiguous S^T when wide), x^T x is one dsyrk, and its rows
@@ -278,17 +283,17 @@ def ergodic_logdet(
                 # conj(SS') when wide, which has the same determinant).
                 x = (s if tall else s.swapaxes(-1, -2).copy()).view(float)
                 p = np.matmul(x.swapaxes(-1, -2), x).view(complex)
-                np.multiply(p[:, 1::2], -1j, out=out[lo:hi])
-                out[lo:hi] += p[:, ::2]
+                np.multiply(p[:, 1::2], -1j, out=g)
+                g += p[:, ::2]
             elif tall:
-                np.matmul(s.conj().swapaxes(-1, -2), s, out=out[lo:hi])
+                np.matmul(s.conj().swapaxes(-1, -2), s, out=g)
             else:
-                np.matmul(s, s.conj().swapaxes(-1, -2), out=out[lo:hi])
-    gram.reshape(count, trials, k * k)[..., :: k + 1] += 1.0
-    _, logdet = np.linalg.slogdet(gram)
-    vals = logdet / _LOG2
+                np.matmul(s, s.conj().swapaxes(-1, -2), out=g)
+            g.reshape(hi - lo, k * k)[:, :: k + 1] += 1.0
+            out[lo:hi] = np.linalg.slogdet(g)[1]
+    vals /= _LOG2
     mean = vals.mean(axis=-1)
-    stderr = vals.std(ddof=1, axis=-1) / math.sqrt(trials) if trials > 1 else np.zeros(count)
+    stderr = vals.std(ddof=1, axis=-1) / math.sqrt(trials) if trials > 1 else np.zeros(len(vals))
     timings["phase"] += drawing
     timings["gram"] += perf_counter() - start - drawing
     return mean, stderr
@@ -356,23 +361,17 @@ def quantized_mimo_rate(
     its rate averages log2 det(I + (p0/m) G Th Th' G Q^{-1}) over fresh phase
     draws from rngs[r], with rows of NO_RELAY noise dropped.  Returns three (J,)
     arrays (rate, standard error, mean log-det), where rate = (delta/n) *
-    mean log-det.  Destinations keeping the same number of rows share one
-    Gram stack (see ergodic_logdet, which adds its seconds to `timings`).
+    mean log-det.  The destinations' kept rows, however many each keeps, go
+    to one ergodic_logdet call, which adds its seconds to `timings`.
     """
-    keep = np.isfinite(noises)
-    kept = keep.sum(axis=1)
-    mean = np.zeros(kept.size)
-    stderr = np.zeros(kept.size)
+    # det(I + c G Th Th' G Q^{-1}) = det(I + S S') with S = diag(row_scale) Th,
+    # since G and Q are diagonal and commute.
     scale = math.sqrt(p0 / m)
-    for rows in np.flatnonzero(np.bincount(kept)[1:]) + 1:
-        # det(I + c G Th Th' G Q^{-1}) = det(I + S S') with S = diag(row_scale) Th,
-        # since G and Q are diagonal and commute.
-        sel = np.flatnonzero(kept == rows)
-        mask = keep[sel]
-        row_scale = scale * gamma[mask.nonzero()[1]] / np.sqrt(1.0 + noises[sel][mask])
-        mean[sel], stderr[sel] = ergodic_logdet(
-            row_scale.reshape(sel.size, rows), m, trials, [rngs[i] for i in sel], timings
-        )
+    row_scales = [
+        scale * gamma[keep] / np.sqrt(1.0 + noise[keep])
+        for noise, keep in zip(noises, np.isfinite(noises))
+    ]
+    mean, stderr = ergodic_logdet(row_scales, m, trials, rngs, timings)
     share = delta / n
     return share * mean, share * stderr, mean
 
@@ -526,12 +525,15 @@ class RateReport:
     """Sum-rate estimate over a destination sample.
 
     r_ind is the minimum estimated rate over the evaluated destinations and
-    r_sum = n * r_ind exactly; r_sum_stderr scales the standard error of the
-    minimizing destination.  n_max is the largest finite quantization noise
-    seen, c_link_min the smallest relay-link capacity, self links excluded
-    (NaN when no sampled destination has a relay).  timings holds the wall
-    seconds spent on link capacities plus quantization noise ("link"), on
-    phase draws ("phase") and on Gram matrices and log-dets ("gram").
+    r_sum = n * r_ind exactly.  r_sum_stderr is n times the standard error of
+    the minimizing destination's mean over its `trials` phase draws; it
+    covers neither the spread across networks (other seeds) nor the bias of
+    a sampled minimum above the exact one.  n_max is the largest finite
+    quantization noise seen, c_link_min the smallest relay-link capacity,
+    self links excluded (NaN when no sampled destination has a relay).
+    timings holds the wall seconds spent on link capacities plus
+    quantization noise ("link"), on phase draws ("phase") and on Gram
+    matrices and log-dets ("gram").
     """
 
     n: int
@@ -550,10 +552,7 @@ class RateReport:
 
 def _batch_size(realization: NetworkRealization, k: int, params: NetworkParams) -> int:
     """Destinations of group k one achievable_rate call may rate together."""
-    n2 = realization.n2_of(k)
-    per_dest = params.trials * min(n2, params.m) ** 2
-    if params.mode == "tdma":
-        per_dest = max(per_dest, n2 * realization.n1)
+    per_dest = realization.n2_of(k) * (realization.n1 if params.mode == "tdma" else 1)
     return max(1, _BATCH_ENTRIES // per_dest)
 
 

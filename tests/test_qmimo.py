@@ -253,23 +253,26 @@ def test_logdet_independent_of_trial_block(monkeypatch, rows, m, trials):
 
 
 def test_logdet_memory_independent_of_trials():
-    # Phases live one block at a time; only the (trials, m, m) Gram stack
-    # (1.6 MB here) scales with the trial count.
-    tracemalloc.start()
-    try:
-        ergodic_logdet(np.ones((1, 1024)), 32, 100, [derive_rng(9)], _timings())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    # Phases and Gram matrices live one block at a time; only the float
+    # log-det of each trial (8 bytes) scales with the trial count.
+    ergodic_logdet(np.ones((1, 1024)), 32, 2, [derive_rng(9)], _timings())  # warm numpy paths
+    peaks = []
+    for trials in (100, 2000):
+        tracemalloc.start()
+        try:
+            ergodic_logdet(np.ones((1, 1024)), 32, trials, [derive_rng(9)], _timings())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 8e6
+    assert abs(peaks[1] - peaks[0]) < 8 * 2000 + 2**16
 
 
 def test_tall_logdet_memory_holds_one_trial_of_phases():
-    # One 1485 x 128 channel, as at m = 128: beyond the (trials, m, m) Gram
-    # stack and one trial's phase buffer, the kernel may hold only a scratch
-    # set of bounded size, never a temporary the size of the phase matrix.
+    # One 1485 x 128 channel, as at m = 128: beyond one trial's phase buffer,
+    # the kernel may hold only a Gram block and a scratch set of bounded
+    # size, never a temporary the size of the phase matrix.
     rows, m, trials = 1485, 128, 4
-    gram_bytes = trials * m * m * 16
     phase_bytes = rows * m * 16
     scale = np.full((1, rows), 0.05)
     tracemalloc.start()
@@ -278,7 +281,7 @@ def test_tall_logdet_memory_holds_one_trial_of_phases():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < gram_bytes + phase_bytes + 2**21
+    assert peak < phase_bytes + 2**21
 
 
 def test_logdet_refuses_ill_conditioned_tall_gram():
@@ -290,6 +293,35 @@ def test_logdet_refuses_ill_conditioned_tall_gram():
     for m in (6, 8):
         mean, stderr = _logdet_one(row_scale, m, 8, derive_rng(10))
         assert math.isfinite(mean) and math.isfinite(stderr)
+
+
+@pytest.mark.parametrize(
+    "m, rows",
+    [(128, (24, 200, 0, 8, 24)), (16, (300, 0, 40, 8))],
+    ids=["wide_both_forms", "tall_both_forms"],
+)
+def test_ragged_logdet_matches_one_channel_at_a_time(m, rows):
+    # Channels of different lengths in one call: wide and tall, on both
+    # sides of _REAL_FORM_MACS, and one with no rows.  Each must give the
+    # bits and the generator end state of a call on that channel alone.
+    forms = {max(r, m) * min(r, m) ** 2 >= qmimo._REAL_FORM_MACS for r in rows if r}
+    assert forms == {True, False}
+    trials = 5
+    scales = [np.linspace(0.2, 1.5, r) for r in rows]
+    rngs = [derive_rng(30 + i) for i in range(len(rows))]
+    twins = [derive_rng(30 + i) for i in range(len(rows))]
+    fresh = [derive_rng(30 + i).bit_generator.state for i in range(len(rows))]
+    means, stderrs = ergodic_logdet(scales, m, trials, rngs, _timings())
+    assert means.shape == stderrs.shape == (len(rows),)
+    for r, scale, mean, stderr, rng, twin, state in zip(
+        rows, scales, means, stderrs, rngs, twins, fresh
+    ):
+        want = _logdet_one(scale, m, trials, twin)
+        assert (mean.hex(), stderr.hex()) == (want[0].hex(), want[1].hex())
+        assert rng.bit_generator.state == twin.bit_generator.state
+        if r == 0:
+            assert (mean, stderr) == (0.0, 0.0)
+            assert rng.bit_generator.state == state
 
 
 def _complex_product_logdet(row_scale, m, trials, rng):
@@ -576,7 +608,7 @@ BATCH_CASES = {
 }
 
 
-@pytest.mark.parametrize("budget", [None, 1, 2 * 8 * 4 * 4])
+@pytest.mark.parametrize("budget", [None, 1, 256, "pairs"])
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, budget):
     p, sample_size = BATCH_CASES[case]
@@ -585,13 +617,19 @@ def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, bu
         for k in range(r.n1):
             _, noises, _ = noise_profile(r, k, np.arange(r.n2_of(k)), p)
             assert np.unique(np.isfinite(noises).sum(axis=1)).size > 1
+    if budget == "pairs":
+        # Twice the largest group's entry count gives it batches of two.
+        budget = 2 * max(r.n2_of(k) for k in range(r.n1)) * (r.n1 if p.mode == "tdma" else 1)
     if budget is not None:
-        # 1 gives batches of one; 2 * 8 * 4 * 4 gives batches of two in the
-        # trials=8 cases, whose destinations hold 8 * 4 * 4 Gram entries each.
+        # A destination of group k counts n2 entries, times n1 in tdma.  One
+        # entry gives every group, tdma or hier, batches of one; 256 gives
+        # the tdma groups of these cases batches of two to twelve, and the
+        # hier groups, of at most ten members, whole-group batches.
         monkeypatch.setattr(qmimo, "_BATCH_ENTRIES", budget)
     batches = []
 
     def spy(realization, k, ranks, params, rngs, timings):
+        assert len(ranks) <= qmimo._batch_size(realization, k, params)
         batches.append((k, np.asarray(ranks).copy(), list(rngs)))
         return achievable_rate(realization, k, ranks, params, rngs, timings)
 
@@ -604,6 +642,10 @@ def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, bu
     assert all(np.ndim(j) == 1 for _, j, _ in batches)
     if budget is None:
         assert len(batches) < report.sample_size  # some batch rates several
+    if budget == 1:
+        assert all(j.size == 1 for _, j, _ in batches)
+    elif budget is not None:
+        assert max(j.size for _, j, _ in batches) >= 2
     # Generators in destination order: batches list each group's
     # destinations in sampling order, and groups ascend.
     order = sorted(
@@ -659,8 +701,8 @@ PER_DESTINATION_PEAK = 4_722_092
 
 def test_batch_memory_stays_bounded(monkeypatch):
     # The shape of hier_profile's m=32 point: one group of 1024 members, 20
-    # sampled destinations, (100, 32, 32) Gram stacks of 1.6 MB each.  One
-    # unbounded batch would hold all 20 at once.
+    # sampled destinations rated in one batch of (20, 1024) link and noise
+    # matrices, whose log-det kernel holds one trial of phases at a time.
     p = NetworkParams(m=32, beta=2.0, mode="hier", q=0.05, epsilon=0.05, delta=0.5,
                       trials=100, sample_size=20, seed=1)
     r = place_nodes(p, derive_rng(p.seed, 0))
