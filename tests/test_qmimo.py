@@ -239,17 +239,37 @@ def test_rate_uses_small_side_of_product():
 
 @pytest.mark.parametrize("rows, m, trials", [(37, 5, 23), (4, 9, 17), (3, 3, 1)])
 def test_logdet_independent_of_trial_block(monkeypatch, rows, m, trials):
-    # One trial per block and every trial in one block draw the same stream
-    # and give the same estimate.
+    # One trial per block and span, every trial in one block, and spans
+    # that do not divide the trial count (200 entries: 37 x 5 takes spans of
+    # 8 one-trial blocks over 23 trials, 4 x 9 spans of 12 trials in blocks
+    # of 5, 5 and 2 over 17) draw the same stream and give the same estimate.
     row_scale = np.linspace(0.3, 3.0, rows)
     results = []
-    for entries in (1, 2**40):
+    for entries in (1, 200, 2**40):
         monkeypatch.setattr(qmimo, "_BLOCK_ENTRIES", entries)
         rng = derive_rng(8)
         results.append((_logdet_one(row_scale, m, trials, rng), rng.bit_generator.state))
-    (single, single_state), (whole, whole_state) = results
-    assert single == pytest.approx(whole, rel=1e-13, abs=0.0)
-    assert single_state == whole_state
+    whole, whole_state = results[-1]
+    for estimate, state in results[:-1]:
+        assert estimate == pytest.approx(whole, rel=1e-13, abs=0.0)
+        assert state == whole_state
+
+
+@pytest.mark.parametrize("rows", [195, 1024])
+def test_logdet_takes_one_slogdet_per_span(monkeypatch, rows):
+    # A 32-antenna channel draws one trial per block (195 x 32 and 1024 x 32
+    # exceed 8192 phase entries) but spans 8192 // 32**2 = 8 trials of Gram
+    # matrices per slogdet call: 100 trials take 13 calls, not 100.
+    calls = []
+    slogdet = np.linalg.slogdet
+
+    def spy(a):
+        calls.append(a.shape)
+        return slogdet(a)
+
+    monkeypatch.setattr(qmimo.np.linalg, "slogdet", spy)
+    _logdet_one(np.linspace(0.01, 0.1, rows), 32, 100, derive_rng(14))
+    assert calls == [(8, 32, 32)] * 12 + [(4, 32, 32)]
 
 
 def test_logdet_memory_independent_of_trials():
@@ -275,6 +295,7 @@ def test_tall_logdet_memory_holds_one_trial_of_phases():
     rows, m, trials = 1485, 128, 4
     phase_bytes = rows * m * 16
     scale = np.full((1, rows), 0.05)
+    ergodic_logdet(scale, m, 1, [derive_rng(12)], _timings())  # warm numpy paths
     tracemalloc.start()
     try:
         ergodic_logdet(scale, m, trials, [derive_rng(12)], _timings())
@@ -297,14 +318,15 @@ def test_logdet_refuses_ill_conditioned_tall_gram():
 
 @pytest.mark.parametrize(
     "m, rows",
-    [(128, (24, 200, 0, 8, 24)), (16, (300, 0, 40, 8))],
+    [(128, (24, 200, 0, 8, 24)), (16, (3000, 0, 40, 8))],
     ids=["wide_both_forms", "tall_both_forms"],
 )
 def test_ragged_logdet_matches_one_channel_at_a_time(m, rows):
-    # Channels of different lengths in one call: wide and tall, on both
-    # sides of _REAL_FORM_MACS, and one with no rows.  Each must give the
-    # bits and the generator end state of a call on that channel alone.
-    forms = {max(r, m) * min(r, m) ** 2 >= qmimo._REAL_FORM_MACS for r in rows if r}
+    # Channels of different lengths in one call: wide and tall, in real and
+    # complex form (see _REAL_FORM_MACS), and one with no rows.  Each must
+    # give the bits and the generator end state of a call on that channel
+    # alone.
+    forms = {r > m and r * m * m > qmimo._REAL_FORM_MACS for r in rows if r}
     assert forms == {True, False}
     trials = 5
     scales = [np.linspace(0.2, 1.5, r) for r in rows]
