@@ -182,8 +182,8 @@ class PointResult:
     timings holds wall seconds per stage: "place" (placement and grouping),
     "rate" (sum-rate estimate) and "bound" (cut-set upper bound), plus the
     parts of the rate stage "link" (link capacities and quantization noise),
-    "phase" (phase draws, already row-scaled) and "gram" (Gram matrices and
-    log-dets).
+    "phase" (unit-modulus phase draws) and "gram" (row scaling, Gram
+    matrices and log-dets).
     """
 
     params: NetworkParams

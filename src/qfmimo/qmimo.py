@@ -34,14 +34,11 @@ and x - x**3/6, is faster; it is equal to a complex exp within 2e-15.  Both
 take one uniform per entry in C order, so the random stream does not depend
 on the kernel, but the phases' last bits do.  The draws are mapped in pieces
 of at most 2**14 entries through a set of scratch arrays, and written into a
-caller-owned output buffer when one is given.  Given one scale per row,
-they come out already scaled, S = diag(scale) Th, each piece while it is in
-cache: the tangent kernel takes s cos 2 pi u = r - s and s sin 2 pi u = t r
-with r = 2 s / (1 + t**2), from per-entry copies of s and 2 s that the
-scratch set keeps while consecutive calls draw the same rows.
+caller-owned output buffer when one is given.  The draws are unit phases
+only; the row scales enter where the Gram matrix is formed.
 
 The log-det kernel takes one row-scale vector per channel, of any length,
-and draws the scaled phases in blocks of trials of about 8192 phase entries,
+and draws unit phases Th in blocks of trials of about 8192 phase entries,
 into one phase buffer and one scratch set per channel.  Consecutive blocks
 write their Gram matrices into one buffer spanning about 8192 Gram entries
 of trials, and each span gets one diagonal add and one slogdet, so the
@@ -49,11 +46,15 @@ working set stays in cache, and memory grows with the trial count only by
 one float log-det per trial and channel.  The Gram form is chosen for
 OpenBLAS on one thread, as the CLI, its sweep workers and the scaling script
 run it (harness._one_blas_thread): a tall channel (more rows than antennas)
-of more than 2**19 complex multiply-adds per trial is formed from the
-interleaved (re, im) float view x of the phase block as the real symmetric
-product x^T x, one BLAS dsyrk with half the flops, and folded into complex
-form; smaller tall channels and every wide one take one complex product
-with a conjugated copy.  A tall channel whose row scales are so strongly
+of more than 2**19 complex multiply-adds per trial scales the interleaved
+(re, im) float view x of its phase block in place to S = D Th, D =
+diag(scale), and forms S'S as the real symmetric product x^T x, one BLAS
+dsyrk with half the flops, folded into complex form.  Smaller tall channels
+and every wide one take one complex product of Th with the copy D**2
+conj(Th), which one multiply by a trial of interleaved (s**2, -s**2) row
+weights writes where a conjugate copy would go: Th' D**2 Th = S'S when tall,
+and Th Th' D**2 when wide, where det(I + Th Th' D**2) = det(I + S S') by
+Sylvester's identity.  A tall channel whose row scales are so strongly
 graded that forming S'S would lose its small eigenvalues raises
 FloatingPointError instead of returning an inaccurate rate.
 """
@@ -108,9 +109,7 @@ _SIN3 = _PHASE_STEP**3 / 6.0
 
 # Phase entries phase_matrix maps per pass through its scratch arrays, whose
 # 16 bytes an entry (256 KiB) for the tangent kernel, or 40 (640 KiB) for the
-# table kernel, plus 16 or 8 for a row-scaled draw's scales, stay in a 2 MiB
-# per-core L2 cache.  Row-scaled draws pass whole trials, or whole rows of a
-# trial larger than a piece.
+# table kernel, stay in a 2 MiB per-core L2 cache.
 _PIECE_ENTRIES = 2**14
 
 # Phase entries per trial block of ergodic_logdet (at least one trial), and
@@ -153,65 +152,32 @@ _BATCH_ENTRIES = 3 * 2**14
 class _PhaseScratch:
     """Working arrays of phase_matrix, for pieces of up to `size` entries.
 
-    `uniforms` takes a piece's draws and `work` holds the kernel's other
-    arrays.  A row-scaled draw reads each entry's row scale from `scales`,
-    which the first such draw allocates: s and 2 s for the tangent kernel,
-    s for the table kernel.  Pieces of whole trials keep them between
-    calls, and `pattern` records for which shape and row scales, so the
-    blocks of one channel expand them once.
+    `arrays` holds a piece's uniforms first, then the kernel's other arrays.
     """
 
-    def __init__(self, entries: int, row: int = 1) -> None:
-        # At least one row of a row-scaled draw.
-        self.size = size = max(1, row, min(entries, _PIECE_ENTRIES))
+    def __init__(self, entries: int) -> None:
+        self.size = size = max(1, min(entries, _PIECE_ENTRIES))
         if _TANGENT_PHASES:
-            self.uniforms, r = np.empty((2, size))
-            self.work = (r,)
+            self.arrays = tuple(np.empty((2, size)))
         else:
-            self.uniforms, y2, t = np.empty((3, size))
-            self.work = (y2, t, np.empty(size, complex))
-        self.scales: Sequence[np.ndarray] = ()
-        self.pattern: tuple | None = None
-
-    def expand(self, scale: np.ndarray, m: int, trials: int = 1) -> None:
-        """Hold `trials` copies of the rows scale[i], m entries each, in `scales`."""
-        if not self.scales:
-            self.scales = tuple(np.empty((2 if _TANGENT_PHASES else 1, self.size)))
-        s = self.scales[0][: trials * scale.size * m]
-        np.copyto(s.reshape(trials, scale.size, m), scale[:, None])
-        for twice in self.scales[1:]:
-            np.multiply(s, 2.0, out=twice[: s.size])
+            self.arrays = (*np.empty((3, size)), np.empty(size, complex))
 
 
-def _tangent_piece(
-    theta: np.ndarray, scales: Sequence[np.ndarray | float], t: np.ndarray, r: np.ndarray
-) -> None:
-    """Map the uniforms u in `t` to s exp(2 pi i u) in theta; `r` is scratch.
-
-    With scales (s, 2 s), r = 2 s / (1 + t**2) gives s cos 2 pi u = r - s
-    and s sin 2 pi u = t r.
-    """
+def _tangent_piece(theta: np.ndarray, t: np.ndarray, r: np.ndarray) -> None:
+    """Map the uniforms u in `t` to exp(2 pi i u) in theta; `r` is scratch."""
     t *= np.pi
     np.tan(t, out=t)
     np.multiply(t, t, out=r)
     r += 1.0
-    np.divide(scales[1], r, out=r)
-    np.subtract(r, scales[0], out=theta.real)
+    np.divide(2.0, r, out=r)
+    np.subtract(r, 1.0, out=theta.real)
     np.multiply(t, r, out=theta.imag)
 
 
 def _table_piece(
-    theta: np.ndarray,
-    scales: Sequence[np.ndarray | float],
-    y: np.ndarray,
-    y2: np.ndarray,
-    t: np.ndarray,
-    roots: np.ndarray,
+    theta: np.ndarray, y: np.ndarray, y2: np.ndarray, t: np.ndarray, roots: np.ndarray
 ) -> None:
-    """Map the uniforms in `y` to s exp(2 pi i y) in theta; the rest is scratch.
-
-    With scales (s,), each entry is scaled while the piece is in cache.
-    """
+    """Map the uniforms in `y` to exp(2 pi i y) in theta; the rest is scratch."""
     y *= _PHASE_TABLE.size
     # y2 holds the integer part until it is cast into the table indices,
     # which share t's memory until the roots are gathered.
@@ -228,32 +194,11 @@ def _table_piece(
     np.multiply(y2, _COS4, out=t)
     np.subtract(_COS2, t, out=t)
     t *= y2
-    (s,) = scales
-    t *= s
-    np.subtract(s, t, out=theta.real)
-    y *= s
+    np.subtract(1.0, t, out=theta.real)
     np.multiply(y2, _SIN3, out=t)
     np.subtract(_PHASE_STEP, t, out=t)
     np.multiply(y, t, out=theta.imag)
     theta *= roots
-
-
-def _draw_piece(
-    rng: np.random.Generator, theta: np.ndarray, scratch: _PhaseScratch, scaled: bool
-) -> None:
-    """Draw theta.size phases into theta through the front of the scratch arrays."""
-    n = theta.size
-    whole = n == scratch.size
-    uniforms = scratch.uniforms if whole else scratch.uniforms[:n]
-    rng.random(out=uniforms)
-    work = scratch.work if whole else [a[:n] for a in scratch.work]
-    if scaled:
-        scales = scratch.scales if whole else [a[:n] for a in scratch.scales]
-    else:
-        # s = 1 as scalars: no scale arrays, and the bits of exp(2 pi i u).
-        scales = (1.0, 2.0) if _TANGENT_PHASES else (1.0,)
-    kernel = _tangent_piece if _TANGENT_PHASES else _table_piece
-    kernel(theta, scales, uniforms, *work)
 
 
 def phase_matrix(
@@ -261,7 +206,6 @@ def phase_matrix(
     *shape: int,
     out: np.ndarray | None = None,
     scratch: _PhaseScratch | None = None,
-    scale: np.ndarray | None = None,
 ) -> np.ndarray:
     """Complex array of the given shape with unit-modulus i.i.d. phases.
 
@@ -276,80 +220,50 @@ def phase_matrix(
     process always gives the same bits; two hosts that choose different
     kernels differ in the last bits only, with the same generator end state.
 
-    With `scale`, a 1-D array of one float per row (the second-to-last axis),
-    each entry is multiplied by its row's scale as it is mapped, which gives
-    diag(scale) Th per trial from the same draws.  That equals the unscaled
-    phases times the scales within a few ulps of each scale, not bitwise:
-    the tangent kernel takes (r - s) + i t r with r = 2 s / (1 + t**2).
-
     The result is written into `out` when given (a C-contiguous complex
     array of the shape) and returned; its bits and the generator's end state
     are those of a fresh call.  The draws are mapped in pieces of at most
-    _PIECE_ENTRIES entries (whole trials, or whole rows of a larger trial,
-    when scaled) through `scratch`, a _PhaseScratch that a caller drawing
-    many blocks allocates once.
+    _PIECE_ENTRIES entries through `scratch`, a _PhaseScratch that a caller
+    drawing many blocks allocates once.
     """
     if out is None:
         out = np.empty(shape, dtype=complex)
     elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
-    if scale is not None:
-        scale = np.asarray(scale, dtype=float)
-        if len(shape) < 2 or scale.shape != shape[-2:-1]:
-            raise ValueError(f"scale must hold one float per row of shape {shape}")
     flat = out.reshape(-1)
-    if not flat.size:
-        return out
-    row = 1 if scale is None else shape[-1]
     if scratch is None:
-        scratch = _PhaseScratch(flat.size, row)
-    size = scratch.size
-    if size < row:
-        raise ValueError(f"scratch of {size} entries holds less than one row of {row}")
-    if scale is None:
-        for lo in range(0, flat.size, size):
-            _draw_piece(rng, flat[lo : lo + size], scratch, False)
-        return out
-    rows, m = shape[-2:]
-    trial = rows * m
-    if trial <= size:
-        # Pieces of whole trials, which one expansion of the scales serves.
-        piece = size // trial * trial
-        pattern = (rows, m, scale.tobytes())
-        if scratch.pattern != pattern:
-            scratch.expand(scale, m, piece // trial)
-            scratch.pattern = pattern
-        for lo in range(0, flat.size, piece):
-            _draw_piece(rng, flat[lo : lo + piece], scratch, True)
-        return out
-    # Pieces of whole rows, trial by trial.
-    scratch.pattern = None
-    band = size // m
-    for start in range(0, flat.size, trial):
-        for r0 in range(0, rows, band):
-            rs = scale[r0 : r0 + band]
-            scratch.expand(rs, m)
-            _draw_piece(rng, flat[start + r0 * m : start + (r0 + rs.size) * m], scratch, True)
+        scratch = _PhaseScratch(flat.size)
+    piece = scratch.size
+    kernel = _tangent_piece if _TANGENT_PHASES else _table_piece
+    for lo in range(0, flat.size, piece):
+        theta = flat[lo : lo + piece]
+        work = scratch.arrays if theta.size == piece else [a[: theta.size] for a in scratch.arrays]
+        rng.random(out=work[0])
+        kernel(theta, *work)
     return out
 
 
-def _gram(s: np.ndarray, g: np.ndarray, conj: np.ndarray | None) -> None:
-    """Write the Gram matrices of the phase block s into g, on its smaller side.
+def _gram(s: np.ndarray, g: np.ndarray, weight: np.ndarray, conj: np.ndarray | None) -> None:
+    """Write the Gram matrices of the unit phase block s, row-scaled, into g.
 
-    With `conj`, a buffer of s's shape, the product is complex, S'S when tall
-    and S S' when wide; without, S is tall and S'S is formed in real form
-    (see _REAL_FORM_MACS).
+    Without `conj`, S is tall and `weight` is the column of row scales: the
+    float view of s is scaled in place to S = D Th, D = diag(scale), and S'S
+    is formed in real form (see _REAL_FORM_MACS).  With `conj`, a buffer of
+    s's shape, `weight` holds one trial of interleaved (s**2, -s**2), which
+    turns s into the copy D**2 conj(Th): a tall block gets Th' D**2 Th = S'S,
+    a wide one Th Th' D**2, of the same det(I + .) as S S' (Sylvester).
     """
+    x = s.view(float)
     if conj is None:
         # With x the (re, im)-interleaved float view of S, x^T x is one
         # dsyrk, and its rows 2a and 2a + 1 read as complex fold into row a
         # of S'S.
-        x = s.view(float)
+        x *= weight
         p = np.matmul(x.swapaxes(-1, -2), x).view(complex)
         np.multiply(p[:, 1::2], -1j, out=g)
         g += p[:, ::2]
         return
-    c = np.conjugate(s, out=conj[: len(s)])
+    c = np.multiply(x, weight, out=conj[: len(s)].view(float)).view(complex)
     if s.shape[-2] > s.shape[-1]:
         np.matmul(c.swapaxes(-1, -2), s, out=g)
     else:
@@ -371,19 +285,23 @@ def _channel_logdets(
     # Never shorter than a block, since k * k <= rows * m.
     span = max(1, min(trials, _BLOCK_ENTRIES // max(1, k * k)))
     phases = np.empty((block, rows, m), dtype=complex)
-    real_form = rows > m and rows * m * m > _REAL_FORM_MACS
-    conj = None if real_form else np.empty_like(phases)
+    if rows > m and rows * m * m > _REAL_FORM_MACS:
+        weight, conj = scale[:, None], None
+    else:
+        # One trial of interleaved (s**2, -s**2), the float-view factor that
+        # turns Th into D**2 conj(Th).
+        weight, conj = np.outer(scale * scale, np.tile([1.0, -1.0], m)), np.empty_like(phases)
     gram = np.empty((span, k, k), dtype=complex)
-    scratch = _PhaseScratch(phases.size, m)
+    scratch = _PhaseScratch(phases.size)
     drawing = 0.0
     for lo in range(0, trials, span):
         hi = min(lo + span, trials)
         for b in range(lo, hi, block):
             e = min(b + block, hi)
             t0 = perf_counter()
-            s = phase_matrix(gen, e - b, rows, m, out=phases[: e - b], scratch=scratch, scale=scale)
+            s = phase_matrix(gen, e - b, rows, m, out=phases[: e - b], scratch=scratch)
             drawing += perf_counter() - t0
-            _gram(s, gram[b - lo : e - lo], conj)
+            _gram(s, gram[b - lo : e - lo], weight, conj)
         g = gram[: hi - lo]
         g.reshape(hi - lo, k * k)[:, :: k + 1] += 1.0
         out[lo:hi] = np.linalg.slogdet(g)[1]
@@ -401,15 +319,15 @@ def ergodic_logdet(
 
     Channel r has the 1-D row scales row_scales[r], of any length rows:
     S = diag(row_scales[r]) Th with Th a fresh (rows, m) phase matrix per
-    trial, drawn from rngs[r] by phase_matrix already scaled.  Returns two
-    (J,) arrays; a channel of no rows has log-det 0 and leaves its generator
-    untouched.  The determinant is evaluated on the smaller side of the
-    product.  Each channel's trials are drawn in consecutive blocks, which
-    consume the same random stream as one draw of every trial; consecutive
-    blocks write their Gram matrices into one span of trials, and each span
-    goes through one slogdet call into a (J, trials) array of log-dets.  The
-    seconds spent drawing the scaled phases are added to timings["phase"],
-    the rest (Gram products and slogdet) to timings["gram"].  Raises
+    trial, drawn from rngs[r] by phase_matrix.  Returns two (J,) arrays; a
+    channel of no rows has log-det 0 and leaves its generator untouched.
+    The determinant is evaluated on the smaller side of the product.  Each
+    channel's trials are drawn in consecutive blocks, which consume the same
+    random stream as one draw of every trial; consecutive blocks write their
+    Gram matrices into one span of trials, and each span goes through one
+    slogdet call into a (J, trials) array of log-dets.  The seconds spent
+    drawing the unit phases are added to timings["phase"], the rest (row
+    scaling, Gram products and slogdet) to timings["gram"].  Raises
     FloatingPointError, before any draw, when a channel has rows > m and row
     scales too large for the m x m Gram S'S to resolve det(I + S'S).
     """

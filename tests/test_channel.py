@@ -88,48 +88,6 @@ def test_each_phase_kernel_reuses_buffers_bitwise(monkeypatch, tangent):
         assert phase_matrix(rng, *shape, out=out, scratch=scratch) is out
         assert out.tobytes() == want.tobytes()
     assert rng.bit_generator.state == twin.bit_generator.state
-    # Unscaled draws take unit scales as scalars and allocate no scale arrays.
-    assert not scratch.scales
-
-
-@KERNELS
-@pytest.mark.parametrize("piece", [999, 1001, None], ids=["piece999", "piece1001", "default"])
-@pytest.mark.parametrize("shape", [(6, 37, 11), (2, 120, 16)], ids=["trials", "rows"])
-def test_scaled_draws_match_scaled_phases(monkeypatch, tangent, piece, shape):
-    # A row-scaled draw is diag(scale) Th of the unscaled draw from the same
-    # stream, to a few ulps of each scale, and leaves the same generator end
-    # state.  Pieces of 999 and 1001 entries hold two whole 37 x 11 trials,
-    # or whole rows of a 120 x 16 trial (62 and 62 of 120 rows); reused
-    # buffers must give the bits of fresh draws, also when the same scratch
-    # set then draws other scales of the same shape.
-    monkeypatch.setattr(qmimo, "_TANGENT_PHASES", tangent)
-    if piece is not None:
-        monkeypatch.setattr(qmimo, "_PIECE_ENTRIES", piece)
-    first = np.geomspace(1e-3, 40.0, shape[-2])
-    rng, twin, fresh_rng = derive_rng(43), derive_rng(43), derive_rng(43)
-    out = np.full(shape, complex(np.nan, np.nan))
-    scratch = qmimo._PhaseScratch(out.size, shape[-1])
-    for scale in (first, first, first[::-1].copy()):
-        want = phase_matrix(twin, *shape) * scale[:, None]
-        fresh = phase_matrix(fresh_rng, *shape, scale=scale)
-        assert phase_matrix(rng, *shape, out=out, scratch=scratch, scale=scale) is out
-        assert out.tobytes() == fresh.tobytes()
-        ulps = 4 * np.spacing(scale)[:, None]
-        assert np.all(np.abs(out.real - want.real) <= ulps)
-        assert np.all(np.abs(out.imag - want.imag) <= ulps)
-    assert rng.bit_generator.state == twin.bit_generator.state
-    assert fresh_rng.bit_generator.state == twin.bit_generator.state
-
-
-@pytest.mark.parametrize("scale", [np.ones(4), np.ones((3, 1)), [1.0, 2.0]])
-def test_scale_must_hold_one_float_per_row(scale):
-    with pytest.raises(ValueError):
-        phase_matrix(derive_rng(0), 2, 3, 5, scale=scale)
-
-
-def test_scaled_draw_scratch_must_hold_a_row():
-    with pytest.raises(ValueError):
-        phase_matrix(derive_rng(0), 2, 3, 5, scale=np.ones(3), scratch=qmimo._PhaseScratch(4))
 
 
 def test_phase_kernels_differ_only_in_the_last_bits(monkeypatch):

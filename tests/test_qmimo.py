@@ -305,15 +305,52 @@ def test_tall_logdet_memory_holds_one_trial_of_phases():
     assert peak < phase_bytes + 2**21
 
 
+@pytest.mark.parametrize("tangent", [True, False], ids=["tangent", "table"])
+@pytest.mark.parametrize("rows, m, real_form", [(20, 8, False), (1024, 32, True)])
+def test_logdet_memory_holds_unit_phase_buffers(monkeypatch, tangent, rows, m, real_form):
+    # A warm 100-trial call holds its phase block, the Gram span, the phase
+    # kernel's scratch set (16 bytes an entry of a piece for the tangent
+    # kernel, 40 for the table) and the log-dets; in complex form also the
+    # conjugate copy and one trial of (s**2, -s**2) row weights.  Beyond
+    # them only numpy's 64 KiB ufunc buffer and small temporaries: no
+    # per-entry copies of the row scales.
+    monkeypatch.setattr(qmimo, "_TANGENT_PHASES", tangent)
+    assert (rows * m * m > qmimo._REAL_FORM_MACS) is real_form
+    trials, k = 100, min(rows, m)
+    block = max(1, min(trials, qmimo._BLOCK_ENTRIES // (rows * m)))
+    span = min(trials, qmimo._BLOCK_ENTRIES // (k * k))
+    phase_bytes = block * rows * m * 16
+    buffers = (
+        phase_bytes
+        + (0 if real_form else phase_bytes + rows * m * 16)
+        + span * k * k * 16
+        + (16 if tangent else 40) * min(block * rows * m, qmimo._PIECE_ENTRIES)
+        + trials * 8
+    )
+    scale = np.linspace(0.1, 1.0, rows)
+    _logdet_one(scale, m, trials, derive_rng(16))  # warm numpy paths
+    tracemalloc.start()
+    try:
+        _logdet_one(scale, m, trials, derive_rng(16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + 80 * 1024
+
+
 def test_logdet_refuses_ill_conditioned_tall_gram():
     # Row scales spanning eight decades: S'S on the m side cannot resolve
-    # det(I + S'S), while the rows x rows side stays accurate.
+    # det(I + S'S), while the rows x rows side stays accurate.  There the
+    # kernel takes the non-Hermitian Th Th' D**2 of Sylvester's identity,
+    # which must match the Hermitian S S' on the same phases.
     row_scale = np.logspace(0.0, 8.0, 6)
     with pytest.raises(FloatingPointError):
         _logdet_one(row_scale, 4, 8, derive_rng(10))
     for m in (6, 8):
         mean, stderr = _logdet_one(row_scale, m, 8, derive_rng(10))
-        assert math.isfinite(mean) and math.isfinite(stderr)
+        ref_mean, ref_stderr = _complex_product_logdet(row_scale, m, 8, derive_rng(10))
+        assert mean == pytest.approx(ref_mean, rel=1e-12, abs=0.0)
+        assert stderr == pytest.approx(ref_stderr, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize(

@@ -66,3 +66,56 @@ def test_scaling_experiment_runs_blas_on_one_thread(monkeypatch, capsys):
     assert exc.value.code == 0
     assert calls == [1]
     assert "log-log slope" in capsys.readouterr().out
+
+
+def _run_scaling_experiment(monkeypatch, capsys, *argv):
+    """Exit code, stdout and stderr of the scaling script run in this process."""
+    monkeypatch.setattr(sys, "argv", ["scaling_experiment.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "scaling_experiment.py"), run_name="__main__")
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--trials", "0"],
+        ["--mode", "hier", "--epsilon", "1.5"],
+        ["--sample-size", "0"],
+        ["--workers", "0"],
+        ["--m", "4,8"],
+        ["--m", "4,4,8"],
+    ],
+    ids=["trials", "epsilon", "sample_size", "workers", "two_points", "not_ascending"],
+)
+def test_scaling_experiment_rejects_bad_settings_before_any_point(monkeypatch, capsys, argv):
+    import qfmimo
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no point may run on invalid settings")
+
+    monkeypatch.setattr(qfmimo, "run_sweep", refuse)
+    code, out, err = _run_scaling_experiment(monkeypatch, capsys, *argv)
+    assert code == 2
+    assert out == ""
+    (line,) = [ln for ln in err.splitlines() if "error" in ln]
+    assert line.startswith("scaling_experiment.py: error: ")
+
+
+@pytest.mark.parametrize(
+    "m, beta, done",
+    [("2,3,4", "70", []), ("2,3,200", "8", ["2", "3"])],
+    ids=["first_point", "last_point"],
+)
+def test_scaling_experiment_exits_3_when_a_point_fails(monkeypatch, capsys, m, beta, done):
+    # 2**70 and 200**8 destinations need arrays larger than any address
+    # space, so numpy refuses them without allocating; the points before
+    # the failing one are still reported.
+    code, out, err = _run_scaling_experiment(
+        monkeypatch, capsys, "--m", m, "--beta", beta, "--trials", "4", "--sample-size", "2"
+    )
+    assert code == 3
+    assert [ln.split()[0] for ln in out.splitlines()] == (["m", *done] if done else [])
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: sweep point m={m.split(',')[len(done)]} failed: ")
