@@ -4,8 +4,11 @@
 Checks the phase-fading log-det estimator in the three aspect-ratio limits
 of an i.i.d. channel matrix: wide (a -> inf), square (a -> 1), and tall
 (a -> 0, leading term only).  Per-receive-antenna capacities, p = 1.
+
+Exit codes: 0 success, 2 a trial count that is not an integer >= 1.
 """
 
+import argparse
 import sys
 
 from qfmimo import derive_rng, lozano_regime_value, mimo_ergodic_capacity_mc
@@ -18,8 +21,23 @@ CASES = [
 ]
 
 
+def positive_int(text: str) -> int:
+    """An integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def main() -> int:
-    trials = int(sys.argv[1]) if len(sys.argv) > 1 else 200
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("trials", nargs="?", type=positive_int, default=200,
+                    help="Monte Carlo trials per case (default: 200)")
+    trials = ap.parse_args().trials
     print(f"{'N':>4} {'M':>4} {'regime':>9} {'measured':>10} {'closed form':>12} {'rel err':>8}")
     for n_rx, m, regime, a in CASES:
         cap, stderr = mimo_ergodic_capacity_mc(n_rx, m, 1.0, trials, derive_rng(7, n_rx, m))

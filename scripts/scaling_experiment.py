@@ -47,6 +47,17 @@ def m_values(text: str) -> list[int]:
     return values
 
 
+def unit_interval(text: str) -> float:
+    """A float strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly in (0, 1), got {text!r}")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -54,7 +65,7 @@ def main() -> int:
     ap.add_argument("--m", type=m_values, default="4,8,16,32",
                     help="at least 3 ascending comma-separated sweep values, each >= 2")
     ap.add_argument("--beta", type=float, help="default: 3 (tdma), 2 (hier)")
-    ap.add_argument("--epsilon", type=float, default=0.05,
+    ap.add_argument("--epsilon", type=unit_interval, default=0.05,
                     help="hier-mode rate exponent, also its cell-area exponent q")
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--sample-size", type=int, help="default: 30 (tdma), 20 (hier)")

@@ -13,7 +13,8 @@ Carlo log-det.
 
 Entry points (the CLI, every sweep worker process, the scaling script) run
 OpenBLAS on the calling thread, so parallelism comes from workers alone;
-library calls leave the process's BLAS threads as they are.
+library calls leave the process's BLAS threads as they are.  The setter is
+found through ctypes on numpy's linalg extension, which links its OpenBLAS.
 """
 
 from __future__ import annotations
@@ -63,39 +64,30 @@ _OPENBLAS_SETTERS = (
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _mapped_files() -> list[str]:
-    """Paths of the files mapped into this process; none without /proc."""
+def _openblas_lib() -> ctypes.CDLL | None:
+    """numpy's linalg extension, whose handle also finds its BLAS's symbols, or None."""
     try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            lines = fh.readlines()
-    except OSError:
-        return []
-    # A file mapping's line ends in its path, which may contain spaces.
-    return list(dict.fromkeys(line.split(maxsplit=5)[-1].strip() for line in lines))
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
 
 
 @cache
 def _openblas_setter():
     """OpenBLAS's set-thread-count function, looked up once, or None."""
-    for path in _mapped_files():
-        if "openblas" not in os.path.basename(path):
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return setter
+    lib = _openblas_lib()
+    for name in _OPENBLAS_SETTERS if lib is not None else ():
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
     return None
 
 
 def _one_blas_thread() -> None:
     """Run OpenBLAS on the calling thread unless the user set a thread count.
 
-    Any other BLAS, or a process without /proc, is left as it is.
+    Any other BLAS, or an OpenBLAS the lookup cannot find, is left as it is.
     """
     if any(var in os.environ for var in _BLAS_THREAD_VARS):
         return

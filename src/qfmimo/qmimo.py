@@ -263,7 +263,12 @@ def _gram(s: np.ndarray, g: np.ndarray, weight: np.ndarray, conj: np.ndarray | N
         np.multiply(p[:, 1::2], -1j, out=g)
         g += p[:, ::2]
         return
-    c = np.multiply(x, weight, out=conj[: len(s)].view(float)).view(complex)
+    # Copied into every trial first: a multiply that broadcasts the weights
+    # over trials takes numpy's 64 KiB buffered loop and runs slower.
+    cf = conj[: len(s)].view(float)
+    np.copyto(cf, weight)
+    cf *= x
+    c = cf.view(complex)
     if s.shape[-2] > s.shape[-1]:
         np.matmul(c.swapaxes(-1, -2), s, out=g)
     else:

@@ -29,14 +29,10 @@ def _openblas_getter():
     setter = harness._openblas_setter()
     if setter is None:
         return None
-    name = setter.__name__.replace("_set_", "_get_")
-    for path in harness._mapped_files():
-        if "openblas" in os.path.basename(path):
-            getter = getattr(ctypes.CDLL(path), name, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return getter
-    return None
+    getter = getattr(harness._openblas_lib(), setter.__name__.replace("_set_", "_get_"), None)
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
 
 
 @pytest.fixture(autouse=True)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -739,10 +740,36 @@ def test_explicit_blas_thread_setting_wins_over_the_pin(setter_calls, monkeypatc
     assert setter_calls == [1]
 
 
-@pytest.mark.parametrize("mapped", [[], ["/nonexistent/libopenblas.so.0", "[heap]"]],
-                         ids=["no_proc", "no_loadable_openblas"])
-def test_blas_pin_is_a_no_op_without_an_openblas_setter(monkeypatch, mapped):
-    monkeypatch.setattr(harness, "_mapped_files", lambda: mapped)
+def test_cli_pins_openblas_where_proc_cannot_be_read(two_blas_threads, monkeypatch, tmp_path):
+    # The lookup goes through numpy's linalg extension, not /proc/self/maps.
+    real_open = open
+
+    def no_proc(file, *args, **kwargs):
+        if str(file).startswith("/proc/"):
+            raise OSError(f"{file} cannot be read")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", no_proc)
+    harness._openblas_setter.cache_clear()
+    try:
+        assert main([*TINY_POINT, "--out", str(tmp_path / "point.csv")]) == 0
+    finally:
+        harness._openblas_setter.cache_clear()
+    assert two_blas_threads() == 1
+
+
+@pytest.mark.parametrize(
+    "linalg_ext, setters",
+    [
+        (np.linalg._umath_linalg, ("no_such_openblas_set_num_threads",)),
+        (SimpleNamespace(__file__="/nonexistent/_umath_linalg.so"), harness._OPENBLAS_SETTERS),
+        (SimpleNamespace(), harness._OPENBLAS_SETTERS),
+    ],
+    ids=["no_exported_setter", "unloadable_library", "no_linalg_extension"],
+)
+def test_blas_pin_is_a_no_op_without_an_openblas_setter(monkeypatch, linalg_ext, setters):
+    monkeypatch.setattr(np.linalg, "_umath_linalg", linalg_ext)
+    monkeypatch.setattr(harness, "_OPENBLAS_SETTERS", setters)
     harness._openblas_setter.cache_clear()
     try:
         assert harness._openblas_setter() is None

@@ -338,6 +338,27 @@ def test_logdet_memory_holds_unit_phase_buffers(monkeypatch, tangent, rows, m, r
     assert peak < buffers + 80 * 1024
 
 
+def test_complex_form_gram_of_many_trials_allocates_no_ufunc_buffer():
+    # One trial of (s**2, -s**2) weights applied to a 51-trial block, as in
+    # a 20 x 8 channel: a multiply that broadcasts them over the trials
+    # would take numpy's 64 KiB ufunc buffer.
+    trials, rows, m = 51, 20, 8
+    s = phase_matrix(derive_rng(17), trials, rows, m)
+    scale = np.linspace(0.1, 1.0, rows)
+    weight = np.outer(scale * scale, np.tile([1.0, -1.0], m))
+    conj, gram = np.empty_like(s), np.empty((trials, m, m), dtype=complex)
+    qmimo._gram(s, gram, weight, conj)  # warm numpy paths
+    tracemalloc.start()
+    try:
+        qmimo._gram(s, gram, weight, conj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    d2_conj = scale[:, None] ** 2 * s.conj()
+    np.testing.assert_allclose(gram, d2_conj.swapaxes(-1, -2) @ s, rtol=1e-13, atol=1e-13)
+
+
 def test_logdet_refuses_ill_conditioned_tall_gram():
     # Row scales spanning eight decades: S'S on the m side cannot resolve
     # det(I + S'S), while the rows x rows side stays accurate.  There the

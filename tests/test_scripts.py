@@ -52,6 +52,21 @@ def test_scaling_experiment_rejects_m_below_2(m):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("trials", ["0", "-5", "x"])
+def test_capacity_oracles_rejects_a_bad_trial_count(trials):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "capacity_oracles.py"), trials],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    (err,) = [ln for ln in done.stderr.splitlines() if "error" in ln]
+    assert err.startswith("capacity_oracles.py: error: argument trials:")
+    assert "Traceback" not in done.stderr
+
+
 def test_scaling_experiment_runs_blas_on_one_thread(monkeypatch, capsys):
     from qfmimo import harness
 
@@ -78,18 +93,20 @@ def _run_scaling_experiment(monkeypatch, capsys, *argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, names",
     [
-        ["--trials", "0"],
-        ["--mode", "hier", "--epsilon", "1.5"],
-        ["--sample-size", "0"],
-        ["--workers", "0"],
-        ["--m", "4,8"],
-        ["--m", "4,4,8"],
+        (["--trials", "0"], "trials"),
+        (["--mode", "hier", "--epsilon", "1.5"], "argument --epsilon:"),
+        (["--sample-size", "0"], "sample_size"),
+        (["--workers", "0"], "argument --workers:"),
+        (["--m", "4,8"], "argument --m:"),
+        (["--m", "4,4,8"], "argument --m:"),
     ],
     ids=["trials", "epsilon", "sample_size", "workers", "two_points", "not_ascending"],
 )
-def test_scaling_experiment_rejects_bad_settings_before_any_point(monkeypatch, capsys, argv):
+def test_scaling_experiment_rejects_bad_settings_before_any_point(
+    monkeypatch, capsys, argv, names
+):
     import qfmimo
 
     def refuse(*args, **kwargs):
@@ -101,6 +118,8 @@ def test_scaling_experiment_rejects_bad_settings_before_any_point(monkeypatch, c
     assert out == ""
     (line,) = [ln for ln in err.splitlines() if "error" in ln]
     assert line.startswith("scaling_experiment.py: error: ")
+    # The message names the setting the user gave.
+    assert names in line
 
 
 @pytest.mark.parametrize(
