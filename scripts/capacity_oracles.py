@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from qfmimo import derive_rng, lozano_regime_value, mimo_ergodic_capacity_mc
+from qfmimo.cli import positive_int
 
 CASES = [
     # (n_rx, m, regime, explicit a for the tall limit)
@@ -19,17 +20,6 @@ CASES = [
     (128, 128, "a_to_1", None),
     (256, 4, "a_to_0", 4 / 256),
 ]
-
-
-def positive_int(text: str) -> int:
-    """An integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
 
 
 def main() -> int:

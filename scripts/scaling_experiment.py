@@ -24,6 +24,7 @@ import sys
 import time
 
 from qfmimo import NetworkParams, fit_scaling, run_sweep
+from qfmimo.cli import positive_int
 from qfmimo.harness import POINT_FAILURES, SweepFailure, _one_blas_thread
 
 # Per-mode defaults of --beta and --sample-size.
@@ -67,10 +68,10 @@ def main() -> int:
     ap.add_argument("--beta", type=float, help="default: 3 (tdma), 2 (hier)")
     ap.add_argument("--epsilon", type=unit_interval, default=0.05,
                     help="hier-mode rate exponent, also its cell-area exponent q")
-    ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--sample-size", type=int, help="default: 30 (tdma), 20 (hier)")
+    ap.add_argument("--trials", type=positive_int, default=100)
+    ap.add_argument("--sample-size", type=positive_int, help="default: 30 (tdma), 20 (hier)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=positive_int, default=1)
     args = ap.parse_args()
     profile = PROFILES[args.mode]
 
@@ -87,8 +88,6 @@ def main() -> int:
         )
     except ValueError as exc:
         ap.error(str(exc))
-    if args.workers < 1:
-        ap.error(f"argument --workers: must be >= 1, got {args.workers}")
 
     # As in the CLI: one BLAS thread per process, parallelism from --workers.
     _one_blas_thread()

@@ -72,6 +72,17 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
+def positive_int(text: str) -> int:
+    """An integer >= 1: a count of trials, sampled destinations or workers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _sweep(text: str) -> list[int]:
     try:
         m_list = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -105,14 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--c2", type=float, help="hier-mode rate constant")
     parser.add_argument("--exclusion-radius", type=float, dest="exclusion_radius",
                         help="no-destination disk radius around the source")
-    parser.add_argument("--trials", type=int, help="Monte Carlo phase draws per estimate")
-    parser.add_argument("--sample-size", type=int, dest="sample_size",
+    parser.add_argument("--trials", type=positive_int, help="Monte Carlo phase draws per estimate")
+    parser.add_argument("--sample-size", type=positive_int, dest="sample_size",
                         help="destinations evaluated per sum-rate estimate")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--sweep", type=_sweep, help="comma-separated ascending m values")
     parser.add_argument("--fit", choices=FIT_MODELS, help="fit the sweep's R_sum column")
     parser.add_argument("--out", help="CSV output path (default: stdout)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers for sweep points")
+    parser.add_argument("--workers", type=positive_int, default=1,
+                        help="parallel workers for sweep points")
     return parser
 
 
@@ -145,8 +157,6 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         m_list, workers, fit_model, out = args.sweep, args.workers, args.fit, args.out
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
         if fit_model and (m_list is None or len(m_list) < 3):
             raise ConfigError("--fit needs a --sweep with at least 3 points")
         if fit_model == "m_log_m_ratio" and min(m_list) < 2:

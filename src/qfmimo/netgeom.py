@@ -3,22 +3,21 @@
 A run places one multi-antenna source at the center and n = round(m**beta)
 single-antenna destinations uniformly at random, partitions the square into
 a grid of equal cells, and groups destinations by cell with one in-place
-sort of packed uint64 keys: group id, a prefix of the source distance's bit
+sort of packed uint64 keys: cell id, a prefix of the source distance's bit
 pattern and the destination index, from the high bits down.  Keys whose
-group and prefix tie are then put in (distance, index) order.  Group
-members are therefore kept sorted by source distance, ties in index order;
-the farthest member of a group sets the reference path loss used by the
-rate modules.
+cell and prefix tie are then put in (distance, index) order.  Groups are
+the occupied cells in row-major order, and their members are kept sorted by
+source distance, ties in index order; the farthest member of a group sets
+the reference path loss used by the rate modules.
 
 Every pass over the n destinations (drawing, distances, the exclusion-disk
-check, cell ids, group ids, key fields, tie flags, ranks) runs in chunks of
-_CHUNK points that write straight into the arrays the realization keeps, so
-temporaries stay chunk-sized and a network of n <= _CHUNK takes one pass.
-What a realization keeps is, at m = 128 and beta = 3 (n = 2**21): dest_pos
-32 MiB, source_dist 16 MiB, the sorted index array behind group_members
-16 MiB, and group_of and rank_of 4 MiB each.  Besides these, grouping
-holds an n-sized cell-id array before the keys exist and n bytes of tie
-flags while it repairs ties.
+check, key fields, tie flags) runs in chunks of _CHUNK points that write
+straight into the arrays the realization keeps, so temporaries stay
+chunk-sized and a network of n <= _CHUNK takes one pass.  What a
+realization keeps is, at m = 128 and beta = 3 (n = 2**21): dest_pos
+32 MiB, source_dist 16 MiB and the sorted index array behind group_members
+16 MiB.  Besides these, grouping holds n bytes of tie flags while it
+repairs ties.
 """
 
 from __future__ import annotations
@@ -128,9 +127,8 @@ class NetworkRealization:
     in ascending distance to the source, equal distances in index order, as
     views into one sorted index array; group_cells[k] is the (row, col) of
     the cell hosting group k, groups numbered in row-major cell order;
-    cell_counts covers every cell, empty ones too.  group_of and rank_of give
-    each destination's group and its position in that group, in the
-    narrowest unsigned dtypes that hold them.
+    cell_counts covers every cell, empty ones too.  groups_of maps
+    destinations to their groups.
     """
 
     source_pos: np.ndarray
@@ -140,8 +138,6 @@ class NetworkRealization:
     group_cells: list[tuple[int, int]]
     cell_counts: np.ndarray
     source_dist: np.ndarray = field(repr=False)
-    group_of: np.ndarray = field(repr=False)
-    rank_of: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -162,6 +158,12 @@ class NetworkRealization:
     def group_distances(self, k: int) -> np.ndarray:
         """Source distances of group k's members, ascending."""
         return self.source_dist[self.group_members[k]]
+
+    def groups_of(self, dests: np.ndarray) -> np.ndarray:
+        """Group ids of destination indices dests: each one's cell counted
+        among the occupied cells in row-major order."""
+        cells = _cell_ids(self.dest_pos[dests], self.grid_side, np.empty(len(dests), np.intp))
+        return (np.cumsum(self.cell_counts.reshape(-1) > 0) - 1)[cells]
 
 
 def partition_cells(n: int, q: float) -> int:
@@ -216,52 +218,27 @@ def _group(
 ) -> NetworkRealization:
     """Grid/group bookkeeping for checked positions and their source distances."""
     n = dest_pos.shape[0]
-    # Points exactly on the upper/right boundary fold into the last cell:
-    # floor(min(x * g, g - 1)) is min(floor(x * g), g - 1).  Assigning the
-    # floats truncates them as astype does.
-    cell_dtype = np.min_scalar_type(g * g - 1)
-    cell_id = np.empty(n, dtype=cell_dtype)
-    for s in _chunks(n):
-        scaled = dest_pos[s, 1] * g
-        cell_id[s] = np.minimum(scaled, g - 1, out=scaled)
-        cell_id[s] *= g
-        np.multiply(dest_pos[s, 0], g, out=scaled)
-        cell_id[s] += np.minimum(scaled, g - 1, out=scaled).astype(cell_dtype)
-    del scaled
-    # bincount casts its input to intp and returns g * g counts, so it takes
-    # slices of at least g * g ids: the cast then never outgrows the counts.
-    stride = max(_CHUNK, g * g)
-    counts = np.zeros(g * g, dtype=np.intp)
-    for lo in range(0, n, stride):
-        counts += np.bincount(cell_id[lo:lo + stride], minlength=g * g)
-    occupied = np.flatnonzero(counts)
-    # The narrowest unsigned group id keeps group_of small at large n.
-    group_id = np.zeros(g * g, dtype=np.min_scalar_type(occupied.size - 1))
-    group_id[occupied] = np.arange(occupied.size)
-    group_of = np.empty(n, dtype=group_id.dtype)
-    for s in _chunks(n):
-        # Cell ids are in range, so clipping never acts; unlike the default
-        # mode it lets take write into out without a buffer.
-        np.take(group_id, cell_id[s], out=group_of[s], mode="clip")
-    del cell_id  # keeps peak memory down at large n
-
-    # One in-place sort of uint64 keys (group | distance prefix | index,
-    # from the high bits down) gives the (group, distance, index) order.
-    # Non-negative doubles order like their bit patterns, and the prefix
-    # (bits - min) >> shift is non-decreasing in distance, so it can tie two
-    # distances but never invert them.  Runs of equal group and prefix are
-    # then put in (distance, index) order.  The fields fit for n < 2**32.
+    # One in-place sort of uint64 keys (cell | distance prefix | index, from
+    # the high bits down) gives the (cell, distance, index) order, and the
+    # groups are the occupied cells in row-major order.  Non-negative doubles
+    # order like their bit patterns, and the prefix (bits - min) >> shift is
+    # non-decreasing in distance, so it can tie two distances but never
+    # invert them.  Runs of equal cell and prefix are then put in (distance,
+    # index) order.  The fields fit for n < 2**32.
     index_bits = max(1, (n - 1).bit_length())
-    group_bits = max(1, (occupied.size - 1).bit_length())
-    dist_bits = 64 - index_bits - group_bits
+    cell_bits = max(1, (g * g - 1).bit_length())
+    dist_bits = 64 - index_bits - cell_bits
     bits = source_dist.view(np.uint64)
     low = bits.min()
     shift = max(0, (int(bits.max()) - int(low)).bit_length() - dist_bits)
     key = np.empty(n, dtype=np.uint64)
     for s in _chunks(n):
-        part = np.subtract(bits[s], low, out=key[s])
-        part >>= shift
-        part |= np.left_shift(group_of[s], dist_bits, dtype=np.uint64)
+        part = _cell_ids(dest_pos[s], g, out=key[s])
+        part <<= dist_bits
+        prefix = np.subtract(bits[s], low)
+        prefix >>= shift
+        part |= prefix
+        del prefix  # one chunk temporary at a time
         part <<= index_bits
         part |= np.arange(s.start, s.stop, dtype=np.uint64)
     key.sort()
@@ -274,40 +251,46 @@ def _group(
         tied[s.start + 1:s.stop + 1] |= same
     if tied.any():
         tied = np.flatnonzero(tied)
-        # Tied positions can hold runs of two groups side by side, so the
-        # group and prefix bits stay the primary sort key of the repair.
+        # Tied positions can hold runs of two cells side by side, so the
+        # cell and prefix bits stay the primary sort key of the repair.
         runs = key[tied]
         dist = source_dist[(runs & mask).view(np.intp)]
         key[tied] = runs[np.lexsort((runs, dist, runs >> index_bits))]
     del tied
-    sizes = counts[occupied]
-    starts = np.cumsum(sizes) - sizes
-    # A destination's rank is its sorted position less the start of the
-    # group its key's high bits name, kept in the narrowest unsigned type.
-    # The subtraction wraps around in that type, which is exact since every
-    # rank fits.  The low bits of the sorted keys are the permutation.
-    rank_dtype = np.min_scalar_type(sizes.max() - 1)
-    neg_starts = (-starts).astype(rank_dtype)
-    rank_of = np.empty(n, dtype=rank_dtype)
-    for s in _chunks(n):
-        part = key[s]
-        rank = np.take(neg_starts, (part >> (dist_bits + index_bits)).view(np.intp))
-        rank += np.arange(s.start, s.stop).astype(rank_dtype)
-        part &= mask
-        rank_of[part.view(np.intp)] = rank
+    # Cell c's destinations start at the first key whose cell bits reach c;
+    # the low bits of the sorted keys are then the permutation.
+    cell_start = np.searchsorted(key, np.arange(g * g, dtype=np.uint64) << (dist_bits + index_bits))
+    counts = np.diff(cell_start, append=n)
+    occupied = np.flatnonzero(counts)
+    key &= mask
     order = key.view(np.intp)
 
     return NetworkRealization(
         source_pos=src,
         dest_pos=dest_pos,
         grid_side=g,
-        group_members=np.split(order, starts[1:]),
+        group_members=np.split(order, cell_start[occupied[1:]]),
         group_cells=[(int(c) // g, int(c) % g) for c in occupied],
         cell_counts=counts.reshape(g, g),
         source_dist=source_dist,
-        group_of=group_of,
-        rank_of=rank_of,
     )
+
+
+def _cell_ids(pos: np.ndarray, g: int, out: np.ndarray) -> np.ndarray:
+    """Row-major ids of the cells of a g x g grid that hold points pos, in out.
+
+    A coordinate x falls in cell min(floor(x * g), g - 1), so points on the
+    upper or right boundary fold into the last cell.  That equals
+    floor(min(x * g, g - 1)): assigning floats to integers truncates, as
+    astype does.  The column goes through the narrowest type that holds
+    g - 1, which keeps that temporary small.
+    """
+    scaled = pos[:, 1] * g
+    out[...] = np.minimum(scaled, g - 1, out=scaled)
+    out *= g
+    np.multiply(pos[:, 0], g, out=scaled)
+    out += np.minimum(scaled, g - 1, out=scaled).astype(np.min_scalar_type(g - 1))
+    return out
 
 
 def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkRealization:

@@ -636,18 +636,22 @@ def sum_rate(
         chosen = rng.choice(n, size=sample_size, replace=False)
     dest_seeds = rng.integers(0, 2**63, size=chosen.size)
 
-    groups = realization.group_of[chosen]
+    groups = realization.groups_of(chosen)
     order = np.argsort(groups, kind="stable")
     runs = np.split(order, np.flatnonzero(np.diff(groups[order])) + 1)
     destinations = [None] * chosen.size
     timings = {"link": 0.0, "phase": 0.0, "gram": 0.0}
     for run in runs:
         k = int(groups[run[0]])
+        # A destination's rank is its position in the group's members.
+        members = realization.group_members[k]
+        by_index = np.argsort(members)
+        run_ranks = by_index[np.searchsorted(members, chosen[run], sorter=by_index)]
         size = _batch_size(realization, k, params)
         for lo in range(0, run.size, size):
             batch = run[lo : lo + size]
             rngs = [np.random.default_rng(int(seed)) for seed in dest_seeds[batch]]
-            ranks = realization.rank_of[chosen[batch]]
+            ranks = run_ranks[lo : lo + size]
             rated = achievable_rate(realization, k, ranks, params, rngs, timings)
             for index, dr in zip(batch, rated):
                 destinations[index] = dr

@@ -585,6 +585,18 @@ def test_cli_bad_config_value_exits_2_with_one_error_line(no_point, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--sample-size", "--workers"])
+def test_cli_zero_count_is_reported_by_its_flag(no_point, tmp_path, capsys, flag):
+    # A flag and a config line give the same message, naming the flag.
+    message = f"argument {flag}: must be an integer >= 1, got '0'"
+    assert main([flag, "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(f"m = 2\n{flag[2:].replace('-', '_')} = 0\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {cfg}: {message}"]
+
+
 def test_cli_config_value_may_start_with_a_dash(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "dash.cfg"

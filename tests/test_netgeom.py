@@ -150,9 +150,7 @@ def test_groups_sorted_and_partitioned():
     for k in range(r.n1):
         d = r.group_distances(k)
         assert np.all(np.diff(d) >= 0)
-        members = r.group_members[k]
-        assert np.all(r.group_of[members] == k)
-        assert np.all(r.rank_of[members] == np.arange(len(members)))
+        assert np.all(r.groups_of(r.group_members[k]) == k)
     assert sum(r.n2_of(k) for k in range(r.n1)) == r.n
 
 
@@ -165,15 +163,13 @@ def _per_cell_grouping(dest_pos, g):
     cell_counts = np.bincount(cell_id, minlength=g * g).reshape(g, g)
     group_members, group_cells = [], []
     group_of = np.empty(len(dest_pos), dtype=int)
-    rank_of = np.empty(len(dest_pos), dtype=int)
     for cid in np.flatnonzero(cell_counts.reshape(-1)):
         members = np.flatnonzero(cell_id == cid)
         members = members[np.argsort(source_dist[members], kind="stable")]
         group_of[members] = len(group_members)
-        rank_of[members] = np.arange(len(members))
         group_members.append(members)
         group_cells.append((int(cid) // g, int(cid) % g))
-    return group_members, group_cells, cell_counts, group_of, rank_of
+    return group_members, group_cells, cell_counts, group_of
 
 
 def test_sort_grouping_matches_per_cell_scan():
@@ -187,14 +183,42 @@ def test_sort_grouping_matches_per_cell_scan():
             pos = rng.integers(0, 2 * g + 1, size=(n, 2)) / (2 * g)
         else:
             pos = rng.random((n, 2))
-        members, cells, counts, group_of, rank_of = _per_cell_grouping(pos, g)
+        members, cells, counts, group_of = _per_cell_grouping(pos, g)
         r = realization_from_positions(pos, grid_side=g)
         assert len(r.group_members) == len(members)
         assert all(np.array_equal(a, b) for a, b in zip(r.group_members, members))
         assert r.group_cells == cells
         assert np.array_equal(r.cell_counts, counts)
-        assert np.array_equal(r.group_of, group_of)
-        assert np.array_equal(r.rank_of, rank_of)
+        assert np.array_equal(r.groups_of(np.arange(n)), group_of)
+
+
+@pytest.mark.parametrize("case", ["distance_ties", "far_edges", "empty_cells", "placed"])
+def test_group_lookup_and_members_return_every_destination(monkeypatch, case):
+    rng = np.random.default_rng(31)
+    g = 5
+    if case == "distance_ties":
+        # Lattice points: runs of equal distances, cell edges and x, y = 1.
+        pos = rng.integers(0, 11, size=(3000, 2)) / 10
+    elif case == "far_edges":
+        pos = rng.random((600, 2))
+        pos[0::4, 0] = 1.0
+        pos[1::4, 1] = 1.0
+        pos[2::8] = 1.0
+    elif case == "empty_cells":
+        # Only the lower-left cells and the far corner are occupied.
+        pos = np.concatenate([rng.random((400, 2)) * 0.39, [(1.0, 1.0), (0.9, 1.0)]])
+    else:
+        monkeypatch.setattr(netgeom, "_CHUNK", SMALL_CHUNK)
+        r = place_nodes(NetworkParams(m=10, beta=3.0, seed=4), derive_rng(4, 0))
+        pos, g = r.dest_pos, r.grid_side
+    r = realization_from_positions(pos, grid_side=g)
+    assert case != "empty_cells" or np.count_nonzero(r.cell_counts == 0) > 0
+    groups = r.groups_of(np.arange(r.n))
+    _, rank = _scan_group_members(r)
+    _, _, _, group_of = _per_cell_grouping(pos, g)
+    assert np.array_equal(groups, group_of)
+    for dest in range(r.n):
+        assert r.group_members[groups[dest]][rank[dest]] == dest
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), beta=st.floats(0.5, 2.5))
@@ -246,12 +270,23 @@ def test_non_finite_source_rejected(source):
         realization_from_positions(np.array([(0.3, 0.3)]), grid_side=2, source_pos=source)
 
 
+def _scan_group_members(r):
+    """Every destination's group and rank, read off group_members."""
+    group = np.empty(r.n, dtype=int)
+    rank = np.empty(r.n, dtype=int)
+    for k, members in enumerate(r.group_members):
+        group[members] = k
+        rank[members] = np.arange(members.size)
+    return group, rank
+
+
 def _assert_lexsort_grouping(r):
-    """Groups and ranks follow the (group, distance, index) order."""
-    order = np.lexsort((np.arange(r.n), r.source_dist, r.group_of))
+    """Groups follow the (group, distance, index) order, and the group
+    lookup agrees with group_members."""
+    groups = r.groups_of(np.arange(r.n))
+    order = np.lexsort((np.arange(r.n), r.source_dist, groups))
     assert np.array_equal(np.concatenate(r.group_members), order)
-    ranks = np.concatenate([np.arange(len(mem)) for mem in r.group_members])
-    assert np.array_equal(r.rank_of[order], ranks)
+    assert np.array_equal(_scan_group_members(r)[0], groups)
 
 
 def _lattice(side):
@@ -260,8 +295,8 @@ def _lattice(side):
     return np.stack(np.meshgrid(centers, centers), axis=-1).reshape(-1, 2)
 
 
-@pytest.mark.parametrize("side, group_dtype", [(8, np.uint8), (257, np.uint32)])
-def test_sub_ulp_distances_in_a_high_group_stay_ordered(side, group_dtype):
+@pytest.mark.parametrize("side", [8, 257])
+def test_sub_ulp_distances_in_a_high_group_stay_ordered(side):
     # Points on the source's row at x - 0.5 = d have source distance d
     # exactly, so consecutive x give distances one ulp of x apart.  That is
     # finer than the distance prefix of the packed sort key resolves here,
@@ -270,7 +305,6 @@ def test_sub_ulp_distances_in_a_high_group_stay_ordered(side, group_dtype):
     xs = 0.95 + np.arange(16)[::-1] * np.spacing(0.95)
     ray = np.stack([xs, np.full(16, 0.5)], axis=-1)
     r = realization_from_positions(np.concatenate([_lattice(side), ray]), grid_side=side)
-    assert r.group_of.dtype == group_dtype
     assert r.n1 == side * side
     ray_dist = r.source_dist[side * side:]
     assert np.array_equal(ray_dist, xs - 0.5)
@@ -368,16 +402,17 @@ def test_group_ids_wide_enough_and_exact_distances(side):
     r = realization_from_positions(pos, grid_side=side)
     n = side * side
     assert r.n1 == n
-    assert r.group_of.max() == r.n1 - 1
-    assert np.all(r.rank_of == 0)
+    # The lattice lists its cells in row-major order, one point each.
+    assert np.array_equal(r.groups_of(np.arange(n)), np.arange(n))
+    assert all(members.tolist() == [k] for k, members in enumerate(r.group_members))
     assert np.array_equal(np.sort(np.concatenate(r.group_members)), np.arange(n))
     assert np.array_equal(r.source_dist, np.linalg.norm(pos - r.source_pos, axis=1))
 
 
-@pytest.mark.parametrize("size, dtype", [(256, np.uint8), (257, np.uint16)])
-def test_rank_of_uses_narrowest_unsigned_type(size, dtype):
-    # The first group's largest rank just fits (or just misses) uint8, so
-    # the rank count must wrap around exactly where the next group starts.
+@pytest.mark.parametrize("size", [256, 257])
+def test_ranks_restart_where_a_group_of_256_or_257_members_ends(size):
+    # The first group's largest rank just fits (or just misses) a byte, and
+    # the next group's members must start exactly where it ends.
     rng = np.random.default_rng(9)
     pos = np.concatenate([
         rng.random((size, 2)) * 0.4,
@@ -386,9 +421,9 @@ def test_rank_of_uses_narrowest_unsigned_type(size, dtype):
     ])
     r = realization_from_positions(pos, grid_side=2)
     assert r.n1 == 3
-    assert r.rank_of.dtype == dtype
-    for members in r.group_members:
-        assert np.array_equal(r.rank_of[members], np.arange(members.size))
+    assert [members.size for members in r.group_members] == [size, 2, 5]
+    for k, members in enumerate(r.group_members):
+        assert np.all(r.groups_of(members) == k)
 
 
 def test_distance_ties_keep_index_order_at_scale():
@@ -414,7 +449,7 @@ SMALL_CHUNK = 101
 
 def _assert_same_realization(a, b):
     """Every array (values and dtypes) and every group list agree."""
-    for name in ("source_pos", "dest_pos", "source_dist", "group_of", "rank_of", "cell_counts"):
+    for name in ("source_pos", "dest_pos", "source_dist", "cell_counts"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), name
@@ -454,7 +489,7 @@ def test_chunked_grouping_repairs_ties_across_a_chunk_edge(monkeypatch):
     _assert_same_realization(chunked, one_pass)
     _assert_lexsort_grouping(chunked)
     order = np.concatenate(chunked.group_members)
-    group, dist = chunked.group_of[order], chunked.source_dist[order]
+    group, dist = chunked.groups_of(order), chunked.source_dist[order]
     ties = np.flatnonzero((group[1:] == group[:-1]) & (dist[1:] == dist[:-1]))
     assert np.any((ties + 1) % SMALL_CHUNK == 0)
 
@@ -479,8 +514,8 @@ def test_chunked_grouping_repairs_sub_ulp_pairs_at_chunk_edges(monkeypatch):
 
 
 def test_place_nodes_allocates_no_n_sized_temporary():
-    # Beyond what the realization keeps, placement may hold one n-sized
-    # array of ranks and scratch of a few chunks, never an 8-byte column.
+    # Beyond what the realization keeps, placement may hold n bytes of tie
+    # flags and scratch of two chunks, never an n-sized array of ids.
     p = NetworkParams(m=64, beta=3.0, seed=2)
     tracemalloc.start()
     try:
@@ -493,11 +528,9 @@ def test_place_nodes_allocates_no_n_sized_temporary():
         r.dest_pos.nbytes
         + r.source_dist.nbytes
         + r.n * np.dtype(np.intp).itemsize  # the index array behind group_members
-        + r.group_of.nbytes
-        + r.rank_of.nbytes
         + r.cell_counts.nbytes
     )
-    assert peak <= kept + r.rank_of.nbytes + 2 * 8 * netgeom._CHUNK
+    assert peak <= kept + r.n + 2 * 8 * netgeom._CHUNK  # r.n bytes of tie flags
 
 
 def _reference_placement(n, radius, rng):
@@ -535,9 +568,9 @@ def test_exclusion_redraw_matches_reference_loop(monkeypatch, chunk, radius, see
 @pytest.mark.parametrize("q", [0.05, 0.5], ids=["one_group", "many_groups"])
 def test_place_nodes_ranks_need_only_chunk_scratch(monkeypatch, q):
     # With a small chunk and no exclusion disk, placement holds the arrays
-    # the realization keeps plus a few chunks of scratch, so an n-sized
-    # rank temporary (the rank_of dtype is uint32 with one group, uint16
-    # with 529) would exceed the bound.  A warm-up call keeps numpy's
+    # the realization keeps, n bytes of tie flags and a few chunks of
+    # scratch, so any n-sized array of group ids or ranks (two bytes each
+    # with 529 groups) would exceed the bound.  A warm-up call keeps numpy's
     # first-use allocations out of the trace.
     monkeypatch.setattr(netgeom, "_CHUNK", 2**12)
     place_nodes(NetworkParams(m=8, beta=3.0, q=q, exclusion_radius=0.0), derive_rng(0, 0))
@@ -552,8 +585,6 @@ def test_place_nodes_ranks_need_only_chunk_scratch(monkeypatch, q):
         r.dest_pos.nbytes
         + r.source_dist.nbytes
         + r.n * np.dtype(np.intp).itemsize  # the index array behind group_members
-        + r.group_of.nbytes
-        + r.rank_of.nbytes
         + r.cell_counts.nbytes
     )
-    assert peak <= kept + 8 * 8 * netgeom._CHUNK
+    assert peak <= kept + r.n + 8 * 8 * netgeom._CHUNK  # r.n bytes of tie flags

@@ -486,9 +486,9 @@ def test_iid_surrogate_square_matrix_matches_regime_oracle():
 def test_bound_chain_surrogate_below_estimate():
     p = NetworkParams(m=6, beta=2.0, seed=3, trials=300)
     r = place_nodes(p, derive_rng(p.seed, 0))
+    group, rank = _scan_group_members(r)
     for dest in range(0, r.n, 7):
-        k = int(r.group_of[dest])
-        j = int(r.rank_of[dest])
+        k, j = int(group[dest]), int(rank[dest])
         dr = _destination_rate(r, k, j, p, derive_rng(p.seed, 5, dest))
         finite = dr.noises[np.isfinite(dr.noises)]
         n_q_max = float(finite.max()) if finite.size else 0.0
@@ -644,6 +644,16 @@ def _bits(x: float) -> str:
     return float(x).hex()
 
 
+def _scan_group_members(realization):
+    """Every destination's group and rank, read off group_members."""
+    group = np.empty(realization.n, dtype=int)
+    rank = np.empty(realization.n, dtype=int)
+    for k, members in enumerate(realization.group_members):
+        group[members] = k
+        rank[members] = np.arange(members.size)
+    return group, rank
+
+
 def _reference_sum_rate(realization, params, rng, sample_size):
     """sum_rate as a loop of achievable_rate calls on batches of one, one
     generator per destination, evaluated in sampling order."""
@@ -653,11 +663,11 @@ def _reference_sum_rate(realization, params, rng, sample_size):
     else:
         chosen = rng.choice(n, size=sample_size, replace=False)
     dest_seeds = rng.integers(0, 2**63, size=chosen.size)
+    group, rank = _scan_group_members(realization)
     destinations, generators = [], []
     for dest, seed in zip(chosen, dest_seeds):
         gen = np.random.default_rng(int(seed))
-        k = int(realization.group_of[dest])
-        j = int(realization.rank_of[dest])
+        k, j = int(group[dest]), int(rank[dest])
         destinations.append(_destination_rate(realization, k, j, params, gen))
         generators.append(gen)
     worst = min(destinations, key=lambda dr: dr.rate)

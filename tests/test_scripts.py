@@ -95,9 +95,9 @@ def _run_scaling_experiment(monkeypatch, capsys, *argv):
 @pytest.mark.parametrize(
     "argv, names",
     [
-        (["--trials", "0"], "trials"),
+        (["--trials", "0"], "argument --trials:"),
         (["--mode", "hier", "--epsilon", "1.5"], "argument --epsilon:"),
-        (["--sample-size", "0"], "sample_size"),
+        (["--sample-size", "0"], "argument --sample-size:"),
         (["--workers", "0"], "argument --workers:"),
         (["--m", "4,8"], "argument --m:"),
         (["--m", "4,4,8"], "argument --m:"),
