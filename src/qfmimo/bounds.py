@@ -3,11 +3,13 @@
 The cut-set bound treats all destinations as one cooperative receiver of the
 source's m-antenna MIMO channel.  Two branches apply depending on whether
 destinations outnumber antennas (beta > 1, isotropic input) or not
-(beta <= 1, per-destination Hadamard split).  Both branches sum over the
-destinations in netgeom's chunks, so the bound needs one chunk of scratch,
-not an n-sized column of path gains (16 MiB at n = 2**21).  Beyond one
-chunk the partial sums are added in chunk order, so the result can differ
-from a single numpy sum in its last bits.  The Monte Carlo ergodic
+(beta <= 1, per-destination Hadamard split).  A realization stores no
+distances, so both branches recompute them from positions in netgeom's
+chunks, bitwise equal to a single pass, and sum one chunk at a time: the
+bound needs one chunk of terms and one of squares, not an n-sized column
+of distances or path gains (16 MiB each at n = 2**21).  Beyond one chunk
+the partial sums are added in chunk order, so the result can differ from
+a single numpy sum in its last bits.  The Monte Carlo ergodic
 capacity and the three closed-form aspect-ratio regimes serve as mutual
 oracles for the acceptance suite.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgeom import NetworkParams, NetworkRealization, _chunks
+from .netgeom import NetworkParams, NetworkRealization, _chunks, _source_dist
 from .qmimo import ergodic_logdet
 
 REGIME_A_INF = "a_to_inf"
@@ -45,15 +47,16 @@ def cutset_upper_bound(
     beta > 1:   m * log2(1 + (p0/m) * sum_i d_i**-alpha)
     beta <= 1:  sum_i log2(1 + p0 * m * d_i**-alpha)
     """
-    d = realization.source_dist
+    pos, src = realization.dest_pos, realization.source_pos
     gain = params.p0 * params.m
     dist_sum = value = 0.0
-    # Summing chunk by chunk keeps the only temporary chunk-sized; the
-    # first chunk is the longest.
-    chunks = _chunks(d.size)
+    # Each chunk's distances are recomputed from positions into one chunk of
+    # scratch and raised to -alpha in place; the first chunk is the longest.
+    chunks = _chunks(realization.n)
     scratch = np.empty(chunks[0].stop)
     for s in chunks:
-        terms = np.power(d[s], -params.alpha, out=scratch[:s.stop - s.start])
+        terms = _source_dist(pos[s], src, out=scratch[:s.stop - s.start])
+        np.power(terms, -params.alpha, out=terms)
         dist_sum += float(terms.sum())
         if params.beta <= 1.0:
             terms *= gain

@@ -11,19 +11,23 @@ source distance, ties in index order; the farthest member of a group sets
 the reference path loss used by the rate modules.
 
 Every pass over the n destinations (drawing, distances, the exclusion-disk
-check, key fields, tie flags) runs in chunks of _CHUNK points that write
-straight into the arrays the realization keeps, so temporaries stay
-chunk-sized and a network of n <= _CHUNK takes one pass.  What a
-realization keeps is, at m = 128 and beta = 3 (n = 2**21): dest_pos
-32 MiB, source_dist 16 MiB and the sorted index array behind group_members
-16 MiB.  Besides these, grouping holds n bytes of tie flags while it
-repairs ties.
+check, sort keys, the search for tied keys) runs in chunks of _CHUNK
+points that write straight into the arrays the realization keeps, so
+temporaries stay chunk-sized and a network of n <= _CHUNK takes one pass.
+Each source distance is computed once, in the chunk that draws its point,
+for the disk check and the sort key; the key's distance prefix is laid out
+from bounds known before any draw, so no n-sized distance array exists.
+Readers recompute distances from positions, bitwise equal to the first
+computation.  What a realization keeps is, at m = 128 and beta = 3
+(n = 2**21): dest_pos 32 MiB and the sorted index array behind
+group_members 16 MiB.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,7 +132,9 @@ class NetworkRealization:
     views into one sorted index array; group_cells[k] is the (row, col) of
     the cell hosting group k, groups numbered in row-major cell order;
     cell_counts covers every cell, empty ones too.  groups_of maps
-    destinations to their groups.
+    destinations to their groups.  Positions and the group order are all a
+    realization keeps: group_distances recomputes a group's source
+    distances from its members' positions.
     """
 
     source_pos: np.ndarray
@@ -137,7 +143,6 @@ class NetworkRealization:
     group_members: list[np.ndarray]
     group_cells: list[tuple[int, int]]
     cell_counts: np.ndarray
-    source_dist: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -156,8 +161,9 @@ class NetworkRealization:
         return self.n / self.n1
 
     def group_distances(self, k: int) -> np.ndarray:
-        """Source distances of group k's members, ascending."""
-        return self.source_dist[self.group_members[k]]
+        """Source distances of group k's members, ascending, recomputed from
+        their positions."""
+        return _source_dist(self.dest_pos[self.group_members[k]], self.source_pos)
 
     def groups_of(self, dests: np.ndarray) -> np.ndarray:
         """Group ids of destination indices dests: each one's cell counted
@@ -188,8 +194,8 @@ def realization_from_positions(
     """Build the grid/group bookkeeping for explicitly given positions.
 
     Destinations must be finite and lie in the unit square, grid_side must be
-    a positive integer, and the source may lie anywhere its distances stay
-    finite; anything else raises ValueError.
+    a positive integer, and the source may lie anywhere its distances to the
+    square's corners stay finite; anything else raises ValueError.
     """
     dest_pos = np.asarray(dest_pos, dtype=float).reshape(-1, 2)
     src = np.asarray(source_pos, dtype=float)
@@ -203,63 +209,109 @@ def realization_from_positions(
     if not (dest_pos.min() >= 0.0 and dest_pos.max() <= 1.0):
         raise ValueError("destination coordinates must be finite and lie in [0, 1]")
     with np.errstate(over="ignore"):
-        source_dist = _source_dist(dest_pos, src)
-    # NaN and inf propagate through max; a finite source so far away that
+        high = _corner_distance(src)
+    # NaN and inf propagate to the corners; a finite source so far away that
     # its distances overflow (beyond about 1e154) is rejected as well.
-    if not np.isfinite(source_dist.max()):
+    if not math.isfinite(high):
         raise ValueError(
             f"source position must be finite with finite distances, got {tuple(src.tolist())}"
         )
-    return _group(dest_pos, g, src, source_dist)
+    # A destination may sit at the source, so the prefix starts at distance 0.
+    fields = _key_fields(n, g, high, 0.0)
+    key = np.empty(n, dtype=np.uint64)
+    dist = np.empty(min(n, _CHUNK))
+    for s in _chunks(n):
+        d = _source_dist(dest_pos[s], src, out=dist[: s.stop - s.start])
+        _pack_keys(dest_pos[s], d, np.arange(s.start, s.stop, dtype=np.uint64), fields, key[s])
+    del d, dist  # free the chunk scratch before grouping
+    return _group(dest_pos, src, key, fields)
+
+
+class _KeyFields(NamedTuple):
+    """Layout of the packed uint64 sort keys: cell | distance prefix | index.
+
+    The id of the point's cell in a g x g grid takes the high bits and the
+    index index_bits low bits; the dist_bits in between hold the prefix
+    (bits(d) - low) >> shift of the distance's bit pattern.  Non-negative
+    doubles order like their bit patterns, so the prefix is non-decreasing
+    in distance: it can tie two distances but never invert them.
+    """
+
+    g: int
+    index_bits: int
+    dist_bits: int
+    low: np.uint64
+    shift: int
+
+
+def _key_fields(n: int, g: int, high: float, low: float) -> _KeyFields:
+    """Key layout for n points on a g x g grid at distances in (low, high].
+
+    Both bounds are known before any point is drawn, so every chunk can
+    write its keys as soon as it has its distances.  The fields fit for
+    n < 2**32.
+    """
+    index_bits = max(1, (n - 1).bit_length())
+    dist_bits = 64 - index_bits - max(1, (g * g - 1).bit_length())
+    low_bits, high_bits = (int(np.float64(v).view(np.uint64)) for v in (low, high))
+    shift = max(0, (high_bits - low_bits).bit_length() - dist_bits)
+    return _KeyFields(g, index_bits, dist_bits, np.uint64(low_bits), shift)
+
+
+def _pack_keys(
+    pos: np.ndarray,
+    dist: np.ndarray,
+    index: np.ndarray,
+    fields: _KeyFields,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write the sort keys of points pos, at source distances dist and with
+    uint64 indices index, into out and return it.  dist is overwritten.
+
+    A distance below the layout's low bound wraps around; its key is
+    garbage and must be rebuilt before the sort.
+    """
+    part = _cell_ids(pos, fields.g, out=out)
+    part <<= fields.dist_bits
+    prefix = dist.view(np.uint64)
+    prefix -= fields.low
+    prefix >>= fields.shift
+    part |= prefix
+    part <<= fields.index_bits
+    part |= index
+    return out
 
 
 def _group(
-    dest_pos: np.ndarray, g: int, src: np.ndarray, source_dist: np.ndarray
+    dest_pos: np.ndarray, src: np.ndarray, key: np.ndarray, fields: _KeyFields
 ) -> NetworkRealization:
-    """Grid/group bookkeeping for checked positions and their source distances."""
-    n = dest_pos.shape[0]
-    # One in-place sort of uint64 keys (cell | distance prefix | index, from
-    # the high bits down) gives the (cell, distance, index) order, and the
-    # groups are the occupied cells in row-major order.  Non-negative doubles
-    # order like their bit patterns, and the prefix (bits - min) >> shift is
-    # non-decreasing in distance, so it can tie two distances but never
-    # invert them.  Runs of equal cell and prefix are then put in (distance,
-    # index) order.  The fields fit for n < 2**32.
-    index_bits = max(1, (n - 1).bit_length())
-    cell_bits = max(1, (g * g - 1).bit_length())
-    dist_bits = 64 - index_bits - cell_bits
-    bits = source_dist.view(np.uint64)
-    low = bits.min()
-    shift = max(0, (int(bits.max()) - int(low)).bit_length() - dist_bits)
-    key = np.empty(n, dtype=np.uint64)
-    for s in _chunks(n):
-        part = _cell_ids(dest_pos[s], g, out=key[s])
-        part <<= dist_bits
-        prefix = np.subtract(bits[s], low)
-        prefix >>= shift
-        part |= prefix
-        del prefix  # one chunk temporary at a time
-        part <<= index_bits
-        part |= np.arange(s.start, s.stop, dtype=np.uint64)
+    """Grid/group bookkeeping for checked positions and their packed keys."""
+    n, g = dest_pos.shape[0], fields.g
+    # One in-place sort of the keys gives the (cell, distance, index) order,
+    # and the groups are the occupied cells in row-major order.  Runs of
+    # equal cell and prefix are then put in (distance, index) order.
     key.sort()
+    index_bits = fields.index_bits
     mask = 2**index_bits - 1
-    # Flag both keys of every neighbouring pair that ties in its high bits.
-    tied = np.zeros(n, dtype=bool)
-    for s in _chunks(n - 1):
-        same = (key[s.start + 1:s.stop + 1] ^ key[s]) <= mask
-        tied[s] |= same
-        tied[s.start + 1:s.stop + 1] |= same
-    if tied.any():
-        tied = np.flatnonzero(tied)
+    # Each chunk lists the positions p whose keys p and p + 1 tie in their
+    # high bits; random positions give few such pairs.
+    pairs = [
+        s.start + np.flatnonzero((key[s.start + 1:s.stop + 1] ^ key[s]) <= mask)
+        for s in _chunks(n - 1)
+    ]
+    if any(p.size for p in pairs):
+        first = np.concatenate(pairs)
+        tied = np.union1d(first, first + 1)
         # Tied positions can hold runs of two cells side by side, so the
         # cell and prefix bits stay the primary sort key of the repair.
         runs = key[tied]
-        dist = source_dist[(runs & mask).view(np.intp)]
+        dist = _source_dist(dest_pos[(runs & mask).view(np.intp)], src)
         key[tied] = runs[np.lexsort((runs, dist, runs >> index_bits))]
-    del tied
     # Cell c's destinations start at the first key whose cell bits reach c;
     # the low bits of the sorted keys are then the permutation.
-    cell_start = np.searchsorted(key, np.arange(g * g, dtype=np.uint64) << (dist_bits + index_bits))
+    cell_start = np.searchsorted(
+        key, np.arange(g * g, dtype=np.uint64) << (fields.dist_bits + index_bits)
+    )
     counts = np.diff(cell_start, append=n)
     occupied = np.flatnonzero(counts)
     key &= mask
@@ -272,7 +324,6 @@ def _group(
         group_members=np.split(order, cell_start[occupied[1:]]),
         group_cells=[(int(c) // g, int(c) % g) for c in occupied],
         cell_counts=counts.reshape(g, g),
-        source_dist=source_dist,
     )
 
 
@@ -298,33 +349,46 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
 
     Destinations falling inside the exclusion disk around the source are
     resampled until they land outside, so every simulated source distance
-    exceeds exclusion_radius.
+    exceeds exclusion_radius.  Each distance is computed once, where its
+    point is drawn, for the disk check and the point's sort key.
     """
     n = params.n
-    pos = np.empty((n, 2))
+    g = partition_cells(n, params.q)
     src = np.asarray(SOURCE_POS, dtype=float)
-    dist = np.empty(n)
     r = params.exclusion_radius
+    # Every kept distance exceeds r, so the prefix can start at r; the keys
+    # of points inside the disk wrap, and are rebuilt once they are redrawn.
+    fields = _key_fields(n, g, _corner_distance(src), r)
+    pos = np.empty((n, 2))
+    key = np.empty(n, dtype=np.uint64)
+    dist = np.empty(min(n, _CHUNK))
     inside = []
     # Chunks of rows draw the same stream as one (n, 2) draw.
     for s in _chunks(n):
         rng.random(out=pos[s])
-        _source_dist(pos[s], src, out=dist[s])
+        d = _source_dist(pos[s], src, out=dist[: s.stop - s.start])
         if r > 0.0:
-            inside.append(s.start + np.flatnonzero(dist[s] <= r))
-    if inside:
-        # Only redrawn points can land inside again, so each pass rechecks
-        # just those; ascending indices draw in the same order as a mask.
+            inside.append(s.start + np.flatnonzero(d <= r))
+        _pack_keys(pos[s], d, np.arange(s.start, s.stop, dtype=np.uint64), fields, key[s])
+    # Only redrawn points can land inside again, so each pass redraws,
+    # rechecks and rekeys just those, a chunk at a time; ascending indices
+    # draw in the same order as a mask.
+    redo = np.concatenate(inside) if inside else np.empty(0, dtype=np.intp)
+    while redo.size:
+        inside = []
+        for s in _chunks(redo.size):
+            rows = redo[s]
+            drawn = rng.random((rows.size, 2))
+            pos[rows] = drawn
+            d = _source_dist(drawn, src, out=dist[: rows.size])
+            inside.append(rows[d <= r])
+            key[rows] = _pack_keys(
+                drawn, d, rows.view(np.uint64), fields, np.empty(rows.size, dtype=np.uint64)
+            )
         redo = np.concatenate(inside)
-        del inside
-        while redo.size:
-            redo_pos = rng.random((redo.size, 2))
-            pos[redo] = redo_pos
-            redo_dist = _source_dist(redo_pos, src)
-            dist[redo] = redo_dist
-            redo = redo[redo_dist <= r]
+    del d, dist  # free the chunk scratch before grouping
     # Uniform draws lie in [0, 1), so the coordinate check is not needed.
-    return _group(pos, partition_cells(n, params.q), src, dist)
+    return _group(pos, src, key, fields)
 
 
 def _chunks(n: int) -> list[slice]:
@@ -351,6 +415,16 @@ def _source_dist(
     return dist
 
 
+def _corner_distance(src: np.ndarray) -> float:
+    """Largest computed distance from src to a corner of the unit square.
+
+    Rounding is monotone and each coordinate difference is largest in
+    magnitude at a corner, so no point of the square is computed farther.
+    """
+    corners = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    return float(_source_dist(corners, src).max())
+
+
 def cell_occupancy_stats(realization: NetworkRealization) -> tuple[int, int, float]:
     """(min, max, mean) destination count over all grid cells, empty included."""
     counts = realization.cell_counts
@@ -358,5 +432,14 @@ def cell_occupancy_stats(realization: NetworkRealization) -> tuple[int, int, flo
 
 
 def min_source_distance(realization: NetworkRealization) -> float:
-    """Smallest source-to-destination distance in the realization."""
-    return float(realization.source_dist.min())
+    """Smallest source-to-destination distance in the realization.
+
+    The distances are recomputed one chunk at a time into one chunk of
+    scratch.
+    """
+    pos, src = realization.dest_pos, realization.source_pos
+    dist = np.empty(min(realization.n, _CHUNK))
+    return min(
+        float(_source_dist(pos[s], src, out=dist[: s.stop - s.start]).min())
+        for s in _chunks(realization.n)
+    )

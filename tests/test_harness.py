@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -27,9 +28,10 @@ from qfmimo import (
     point_params,
     run_point,
     run_sweep,
+    sum_rate,
     write_csv,
 )
-from qfmimo import harness
+from qfmimo import harness, netgeom
 from qfmimo.cli import build_parser, load_config, main
 
 FAST = dict(trials=16, sample_size=4)
@@ -60,6 +62,35 @@ def _fake_row(m: int, r_sum: float) -> SweepRow:
 def test_run_point_deterministic_rows():
     p = NetworkParams(m=3, beta=2.0, seed=21, **FAST)
     assert run_point(p).row().to_csv() == run_point(p).row().to_csv()
+
+
+@pytest.mark.parametrize("mode", ["tdma", "hier"])
+def test_run_point_holds_no_distance_array(mode):
+    # 2**18 destinations and no exclusion disk, so the minimum-distance guard
+    # runs too.  The point's traced peak stays within the arrays the
+    # realization keeps, a few chunks of scratch and the rate stage's own
+    # peak on the same realization; an n-sized column of distances (2 MiB)
+    # does not fit.  A warm-up point keeps first-use allocations out.
+    p = NetworkParams(m=64, beta=3.0, mode=mode, exclusion_radius=0.0, trials=4,
+                      sample_size=3, seed=5)
+    run_point(p)
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    assert r.n == 2**18
+    kept = r.dest_pos.nbytes + r.n * np.dtype(np.intp).itemsize + r.cell_counts.nbytes
+    tracemalloc.start()
+    try:
+        sum_rate(r, p, derive_rng(p.seed, 1), p.sample_size)
+        rate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del r
+    tracemalloc.start()
+    try:
+        run_point(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= kept + rate_peak + 4 * 8 * netgeom._CHUNK
 
 
 def test_run_point_single_destination():

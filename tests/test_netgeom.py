@@ -280,13 +280,26 @@ def _scan_group_members(r):
     return group, rank
 
 
+def _norm_dist(r):
+    """Every destination's source distance, from np.linalg.norm."""
+    return np.linalg.norm(r.dest_pos - r.source_pos, axis=1)
+
+
 def _assert_lexsort_grouping(r):
     """Groups follow the (group, distance, index) order, and the group
     lookup agrees with group_members."""
     groups = r.groups_of(np.arange(r.n))
-    order = np.lexsort((np.arange(r.n), r.source_dist, groups))
+    order = np.lexsort((np.arange(r.n), _norm_dist(r), groups))
     assert np.array_equal(np.concatenate(r.group_members), order)
     assert np.array_equal(_scan_group_members(r)[0], groups)
+
+
+def _assert_group_distances(r, dist):
+    """Every group's distances are the reference distances dist of its
+    members, and the smallest of them is the realization's minimum."""
+    for k, members in enumerate(r.group_members):
+        assert np.array_equal(r.group_distances(k), dist[members])
+    assert min_source_distance(r) == dist.min()
 
 
 def _lattice(side):
@@ -306,7 +319,7 @@ def test_sub_ulp_distances_in_a_high_group_stay_ordered(side):
     ray = np.stack([xs, np.full(16, 0.5)], axis=-1)
     r = realization_from_positions(np.concatenate([_lattice(side), ray]), grid_side=side)
     assert r.n1 == side * side
-    ray_dist = r.source_dist[side * side:]
+    ray_dist = _norm_dist(r)[side * side:]
     assert np.array_equal(ray_dist, xs - 0.5)
     assert np.unique(ray_dist).size == 16
     _assert_lexsort_grouping(r)
@@ -320,9 +333,10 @@ def test_destination_at_the_source_keeps_sub_ulp_ray_ordered():
     xs = 0.8 + np.arange(8)[::-1] * np.spacing(0.8)
     ray = np.stack([xs, np.full(8, 0.5)], axis=-1)
     r = realization_from_positions(np.concatenate([_lattice(3), [(0.5, 0.5)], ray]), grid_side=3)
-    assert r.source_dist[9] == 0.0
-    assert np.array_equal(r.source_dist[10:], xs - 0.5)
-    assert np.unique(r.source_dist[10:]).size == 8
+    dist = _norm_dist(r)
+    assert dist[9] == 0.0
+    assert np.array_equal(dist[10:], xs - 0.5)
+    assert np.unique(dist[10:]).size == 8
     _assert_lexsort_grouping(r)
 
 
@@ -334,8 +348,9 @@ def test_distances_straddling_one_half_stay_ordered():
     ds = np.array([np.nextafter(0.5, 1.0), 0.5, np.nextafter(0.5, 0.0)])
     pos = np.concatenate([_lattice(4), np.stack([ds, np.full(3, 0.5)], axis=-1), [(0.0, 0.5)]])
     r = realization_from_positions(pos, grid_side=2, source_pos=(0.0, 0.5))
-    assert np.array_equal(r.source_dist[16:19], ds)
-    assert r.source_dist[19] == 0.0
+    dist = _norm_dist(r)
+    assert np.array_equal(dist[16:19], ds)
+    assert dist[19] == 0.0
     _assert_lexsort_grouping(r)
 
 
@@ -364,7 +379,7 @@ def test_grouping_with_distances_beyond_one(source):
         [(0.99, 0.01), (0.01, 0.99)],
     ])
     r = realization_from_positions(pos, grid_side=2, source_pos=source)
-    assert r.source_dist.max() > 1.0
+    assert _norm_dist(r).max() > 1.0
     _assert_lexsort_grouping(r)
 
 
@@ -391,8 +406,8 @@ def test_rejection_loop_matches_full_recheck(seed, radius):
     r = place_nodes(p, rng)
     assert np.array_equal(r.dest_pos, ref)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
-    # Distances kept through the redraws equal a fresh computation.
-    assert np.array_equal(r.source_dist, np.linalg.norm(ref - r.source_pos, axis=1))
+    # Distances recomputed from the redrawn positions equal a fresh computation.
+    _assert_group_distances(r, np.linalg.norm(ref - r.source_pos, axis=1))
 
 
 @pytest.mark.parametrize("side", [20, 300])
@@ -406,7 +421,7 @@ def test_group_ids_wide_enough_and_exact_distances(side):
     assert np.array_equal(r.groups_of(np.arange(n)), np.arange(n))
     assert all(members.tolist() == [k] for k, members in enumerate(r.group_members))
     assert np.array_equal(np.sort(np.concatenate(r.group_members)), np.arange(n))
-    assert np.array_equal(r.source_dist, np.linalg.norm(pos - r.source_pos, axis=1))
+    _assert_group_distances(r, np.linalg.norm(pos - r.source_pos, axis=1))
 
 
 @pytest.mark.parametrize("size", [256, 257])
@@ -449,7 +464,7 @@ SMALL_CHUNK = 101
 
 def _assert_same_realization(a, b):
     """Every array (values and dtypes) and every group list agree."""
-    for name in ("source_pos", "dest_pos", "source_dist", "cell_counts"):
+    for name in ("source_pos", "dest_pos", "cell_counts"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), name
@@ -489,7 +504,7 @@ def test_chunked_grouping_repairs_ties_across_a_chunk_edge(monkeypatch):
     _assert_same_realization(chunked, one_pass)
     _assert_lexsort_grouping(chunked)
     order = np.concatenate(chunked.group_members)
-    group, dist = chunked.groups_of(order), chunked.source_dist[order]
+    group, dist = chunked.groups_of(order), _norm_dist(chunked)[order]
     ties = np.flatnonzero((group[1:] == group[:-1]) & (dist[1:] == dist[:-1]))
     assert np.any((ties + 1) % SMALL_CHUNK == 0)
 
@@ -514,9 +529,11 @@ def test_chunked_grouping_repairs_sub_ulp_pairs_at_chunk_edges(monkeypatch):
 
 
 def test_place_nodes_allocates_no_n_sized_temporary():
-    # Beyond what the realization keeps, placement may hold n bytes of tie
-    # flags and scratch of two chunks, never an n-sized array of ids.
+    # Beyond what the realization keeps, placement may hold a few chunks of
+    # scratch, never an n-sized array of distances or ids (2 MiB of float64).
+    # A warm-up call keeps numpy's first-use allocations out of the trace.
     p = NetworkParams(m=64, beta=3.0, seed=2)
+    place_nodes(p, derive_rng(p.seed, 0))
     tracemalloc.start()
     try:
         r = place_nodes(p, derive_rng(p.seed, 0))
@@ -526,11 +543,10 @@ def test_place_nodes_allocates_no_n_sized_temporary():
     assert r.n == 2**18
     kept = (
         r.dest_pos.nbytes
-        + r.source_dist.nbytes
         + r.n * np.dtype(np.intp).itemsize  # the index array behind group_members
         + r.cell_counts.nbytes
     )
-    assert peak <= kept + r.n + 2 * 8 * netgeom._CHUNK  # r.n bytes of tie flags
+    assert peak <= kept + 4 * 8 * netgeom._CHUNK
 
 
 def _reference_placement(n, radius, rng):
@@ -551,7 +567,9 @@ def _reference_placement(n, radius, rng):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exclusion_redraw_matches_reference_loop(monkeypatch, chunk, radius, seed):
     # n = 1728 spans 18 chunks of 101; a radius of 0.5 redraws over half the
-    # points, several times over.
+    # points, several times over.  Each chunk packs its sort keys as it draws
+    # and every redraw pass rebuilds the keys of the points it moved, so the
+    # groups must still list destinations in (cell, distance, index) order.
     if chunk is not None:
         monkeypatch.setattr(netgeom, "_CHUNK", chunk)
     p = NetworkParams(m=12, beta=3.0, exclusion_radius=radius, seed=seed)
@@ -560,21 +578,27 @@ def test_exclusion_redraw_matches_reference_loop(monkeypatch, chunk, radius, see
     rng = derive_rng(p.seed, 0)
     r = place_nodes(p, rng)
     assert np.array_equal(r.dest_pos, pos)
-    assert np.array_equal(r.source_dist, dist)
+    _assert_group_distances(r, dist)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert radius == 0.0 or dist.min() > radius
+    g = r.grid_side
+    cols, rows = np.minimum((pos * g).astype(int), g - 1).T
+    order = np.lexsort((np.arange(r.n), dist, rows * g + cols))
+    assert np.array_equal(np.concatenate(r.group_members), order)
+    assert all(members.dtype == np.intp for members in r.group_members)
 
 
 @pytest.mark.parametrize("q", [0.05, 0.5], ids=["one_group", "many_groups"])
 def test_place_nodes_ranks_need_only_chunk_scratch(monkeypatch, q):
     # With a small chunk and no exclusion disk, placement holds the arrays
-    # the realization keeps, n bytes of tie flags and a few chunks of
-    # scratch, so any n-sized array of group ids or ranks (two bytes each
-    # with 529 groups) would exceed the bound.  A warm-up call keeps numpy's
-    # first-use allocations out of the trace.
+    # the realization keeps and a few chunks of scratch, so n bytes of tie
+    # flags, or any n-sized array of distances, group ids or ranks (two
+    # bytes each with 529 groups), would exceed the bound.  A warm-up call
+    # with the same parameters keeps numpy's first-use allocations out of
+    # the trace.
     monkeypatch.setattr(netgeom, "_CHUNK", 2**12)
-    place_nodes(NetworkParams(m=8, beta=3.0, q=q, exclusion_radius=0.0), derive_rng(0, 0))
     p = NetworkParams(m=64, beta=3.0, q=q, exclusion_radius=0.0, seed=2)
+    place_nodes(p, derive_rng(p.seed, 0))
     tracemalloc.start()
     try:
         r = place_nodes(p, derive_rng(p.seed, 0))
@@ -583,8 +607,27 @@ def test_place_nodes_ranks_need_only_chunk_scratch(monkeypatch, q):
         tracemalloc.stop()
     kept = (
         r.dest_pos.nbytes
-        + r.source_dist.nbytes
         + r.n * np.dtype(np.intp).itemsize  # the index array behind group_members
         + r.cell_counts.nbytes
     )
-    assert peak <= kept + r.n + 8 * 8 * netgeom._CHUNK  # r.n bytes of tie flags
+    assert 6 * 8 * netgeom._CHUNK < r.n
+    assert peak <= kept + 6 * 8 * netgeom._CHUNK
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.1])
+def test_min_source_distance_needs_only_chunk_scratch(radius):
+    p = NetworkParams(m=64, beta=3.0, exclusion_radius=radius, seed=3)
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    assert r.n == 2**18
+    min_source_distance(r)  # warm numpy paths
+    tracemalloc.start()
+    try:
+        smallest = min_source_distance(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert smallest == _norm_dist(r).min()
+    assert smallest > radius
+    # One chunk of distances and one of squares, against 2 MiB for n
+    # distances.
+    assert peak <= 2 * 8 * netgeom._CHUNK + 4096
