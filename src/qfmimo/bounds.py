@@ -6,12 +6,11 @@ destinations outnumber antennas (beta > 1, isotropic input) or not
 (beta <= 1, per-destination Hadamard split).  A realization stores no
 distances, so both branches recompute them from positions in netgeom's
 chunks, bitwise equal to a single pass, and sum one chunk at a time: the
-bound needs one chunk of terms and one of squares, not an n-sized column
-of distances or path gains (16 MiB each at n = 2**21).  Beyond one chunk
-the partial sums are added in chunk order, so the result can differ from
-a single numpy sum in its last bits.  The Monte Carlo ergodic
-capacity and the three closed-form aspect-ratio regimes serve as mutual
-oracles for the acceptance suite.
+bound needs one chunk of terms, not an n-sized column of distances or path
+gains (16 MiB each at n = 2**21).  Beyond one chunk the partial sums are
+added in chunk order, so the result can differ from a single numpy sum in
+its last bits.  The Monte Carlo ergodic capacity and the three closed-form
+aspect-ratio regimes serve as mutual oracles for the acceptance suite.
 """
 
 from __future__ import annotations

@@ -45,6 +45,10 @@ MODES = ("tdma", "hier")
 # cache.
 _CHUNK = 2**15
 
+# Rows whose squared y offsets _source_dist holds in a temporary of their
+# own: 512 bytes of float64.
+_TAIL = 64
+
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -221,9 +225,9 @@ def realization_from_positions(
     key = np.empty(n, dtype=np.uint64)
     dist = np.empty(min(n, _CHUNK))
     for s in _chunks(n):
-        d = _source_dist(dest_pos[s], src, out=dist[: s.stop - s.start])
-        _pack_keys(dest_pos[s], d, np.arange(s.start, s.stop, dtype=np.uint64), fields, key[s])
-    del d, dist  # free the chunk scratch before grouping
+        index = np.arange(s.start, s.stop, dtype=np.uint64)
+        _pack_keys(dest_pos[s], src, index, fields, key[s], dist[: s.stop - s.start])
+    del index, dist  # free the chunk scratch before grouping
     return _group(dest_pos, src, key, fields)
 
 
@@ -245,7 +249,7 @@ class _KeyFields(NamedTuple):
 
 
 def _key_fields(n: int, g: int, high: float, low: float) -> _KeyFields:
-    """Key layout for n points on a g x g grid at distances in (low, high].
+    """Key layout for n points on a g x g grid at distances in [low, high].
 
     Both bounds are known before any point is drawn, so every chunk can
     write its keys as soon as it has its distances.  The fields fit for
@@ -260,26 +264,29 @@ def _key_fields(n: int, g: int, high: float, low: float) -> _KeyFields:
 
 def _pack_keys(
     pos: np.ndarray,
-    dist: np.ndarray,
+    src: np.ndarray,
     index: np.ndarray,
     fields: _KeyFields,
     out: np.ndarray,
+    dist: np.ndarray,
 ) -> np.ndarray:
-    """Write the sort keys of points pos, at source distances dist and with
-    uint64 indices index, into out and return it.  dist is overwritten.
+    """Write the sort keys of points pos, with uint64 indices index, into out.
 
-    A distance below the layout's low bound wraps around; its key is
-    garbage and must be rebuilt before the sort.
+    The points' source distances are computed into the scratch dist and
+    returned, for the caller's disk check.  A distance below the layout's
+    low bound wraps around; its key is garbage and must be rebuilt before
+    the sort.
     """
+    # The keys are not written yet, so out holds the squares.
+    _source_dist(pos, src, out=dist, squares=out.view(np.float64))
     part = _cell_ids(pos, fields.g, out=out)
     part <<= fields.dist_bits
-    prefix = dist.view(np.uint64)
-    prefix -= fields.low
+    prefix = dist.view(np.uint64) - fields.low
     prefix >>= fields.shift
     part |= prefix
     part <<= fields.index_bits
     part |= index
-    return out
+    return dist
 
 
 def _group(
@@ -366,10 +373,10 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
     # Chunks of rows draw the same stream as one (n, 2) draw.
     for s in _chunks(n):
         rng.random(out=pos[s])
-        d = _source_dist(pos[s], src, out=dist[: s.stop - s.start])
+        index = np.arange(s.start, s.stop, dtype=np.uint64)
+        d = _pack_keys(pos[s], src, index, fields, key[s], dist[: s.stop - s.start])
         if r > 0.0:
             inside.append(s.start + np.flatnonzero(d <= r))
-        _pack_keys(pos[s], d, np.arange(s.start, s.stop, dtype=np.uint64), fields, key[s])
     # Only redrawn points can land inside again, so each pass redraws,
     # rechecks and rekeys just those, a chunk at a time; ascending indices
     # draw in the same order as a mask.
@@ -380,13 +387,12 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
             rows = redo[s]
             drawn = rng.random((rows.size, 2))
             pos[rows] = drawn
-            d = _source_dist(drawn, src, out=dist[: rows.size])
+            keys = np.empty(rows.size, dtype=np.uint64)
+            d = _pack_keys(drawn, src, rows.view(np.uint64), fields, keys, dist[: rows.size])
+            key[rows] = keys
             inside.append(rows[d <= r])
-            key[rows] = _pack_keys(
-                drawn, d, rows.view(np.uint64), fields, np.empty(rows.size, dtype=np.uint64)
-            )
         redo = np.concatenate(inside)
-    del d, dist  # free the chunk scratch before grouping
+    del index, d, dist  # free the chunk scratch before grouping
     # Uniform draws lie in [0, 1), so the coordinate check is not needed.
     return _group(pos, src, key, fields)
 
@@ -397,21 +403,34 @@ def _chunks(n: int) -> list[slice]:
 
 
 def _source_dist(
-    pos: np.ndarray, src: np.ndarray, out: np.ndarray | None = None
+    pos: np.ndarray,
+    src: np.ndarray,
+    out: np.ndarray | None = None,
+    squares: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row distances to src, bitwise equal to norm(pos - src, axis=1).
 
-    Works chunk by chunk and one column at a time in place in out (a new
-    array by default), so the only temporary is a chunk of squares.
+    Computed in place in out (a new array by default).  The squared y
+    offsets go to squares, scratch of pos's length, in one pass; without
+    it each block of rows keeps them in the part of out that the later
+    blocks fill, so blocks halve down to the last _TAIL rows, whose squares
+    take a small temporary, and no chunk of scratch is needed.
     """
     dist = np.empty(pos.shape[0]) if out is None else out
-    for s in _chunks(dist.size):
-        d = np.subtract(pos[s, 0], src[0], out=dist[s])
+    lo, n = 0, dist.size
+    while lo < n:
+        if squares is not None:
+            hi, room = n, squares
+        else:
+            hi = lo + ((n - lo) // 2 if n - lo > _TAIL else n - lo)
+            room = dist[hi:2 * hi - lo] if hi < n else None
+        d = np.subtract(pos[lo:hi, 0], src[0], out=dist[lo:hi])
         d *= d
-        dy = pos[s, 1] - src[1]
+        dy = np.subtract(pos[lo:hi, 1], src[1], out=room)
         dy *= dy
         d += dy
         np.sqrt(d, out=d)
+        lo = hi
     return dist
 
 

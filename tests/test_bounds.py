@@ -76,9 +76,8 @@ def test_cutset_allocates_no_n_sized_temporary(beta):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One chunk of float64 terms and one of squares while the chunk's
-    # distances are recomputed, against 2 MiB for an n-sized column.
-    assert peak <= 2 * 8 * netgeom._CHUNK + 4096
+    # One chunk of float64 terms, against 2 MiB for an n-sized column.
+    assert peak <= 8 * netgeom._CHUNK + 4096
 
 
 def test_mc_capacity_scalar_channel_exact():

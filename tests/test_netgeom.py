@@ -137,6 +137,19 @@ def test_min_source_distance_direct():
     assert min_source_distance(r) == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("scratch", [False, True], ids=["in_place", "squares"])
+@pytest.mark.parametrize("n", [1, 64, 65, 129, 1000, 2**15 + 3])
+def test_source_dist_blocks_match_norm(n, scratch):
+    # Sizes at and just past the tail and a chunk, so each halving step
+    # ends on a different block edge; with scratch there is one block.
+    pos = np.random.default_rng(n).random((n, 2))
+    src = np.array([0.3, 0.7])
+    out = np.full(n, np.nan)
+    squares = np.empty(n) if scratch else None
+    assert netgeom._source_dist(pos, src, out=out, squares=squares) is out
+    assert np.array_equal(out, np.linalg.norm(pos - src, axis=1))
+
+
 def test_boundary_point_folds_into_last_cell():
     r = realization_from_positions(np.array([[1.0, 1.0]]), grid_side=3)
     assert r.group_cells[0] == (2, 2)
@@ -628,6 +641,5 @@ def test_min_source_distance_needs_only_chunk_scratch(radius):
         tracemalloc.stop()
     assert smallest == _norm_dist(r).min()
     assert smallest > radius
-    # One chunk of distances and one of squares, against 2 MiB for n
-    # distances.
-    assert peak <= 2 * 8 * netgeom._CHUNK + 4096
+    # One chunk of distances, against 2 MiB for n distances.
+    assert peak <= 8 * netgeom._CHUNK + 4096
