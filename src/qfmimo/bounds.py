@@ -4,11 +4,11 @@ The cut-set bound treats all destinations as one cooperative receiver of the
 source's m-antenna MIMO channel.  Two branches apply depending on whether
 destinations outnumber antennas (beta > 1, isotropic input) or not
 (beta <= 1, per-destination Hadamard split).  A realization stores no
-distances, so both branches recompute them from positions in netgeom's
-chunks, bitwise equal to a single pass, and sum one chunk at a time: the
-bound needs one chunk of terms, not an n-sized column of distances or path
-gains (16 MiB each at n = 2**21).  Beyond one chunk the partial sums are
-added in chunk order, so the result can differ from a single numpy sum in
+distances, so both branches read them block by block from
+NetworkRealization.source_distances and sum one block at a time: the bound
+needs one reused block of terms, not an n-sized column of distances or path
+gains (16 MiB each at n = 2**21).  Beyond half a chunk the partial sums are
+added in block order, so the result can differ from a single numpy sum in
 its last bits.  The Monte Carlo ergodic capacity and the three closed-form
 aspect-ratio regimes serve as mutual oracles for the acceptance suite.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgeom import NetworkParams, NetworkRealization, _chunks, _source_dist
+from .netgeom import NetworkParams, NetworkRealization
 from .qmimo import ergodic_logdet
 
 REGIME_A_INF = "a_to_inf"
@@ -46,15 +46,10 @@ def cutset_upper_bound(
     beta > 1:   m * log2(1 + (p0/m) * sum_i d_i**-alpha)
     beta <= 1:  sum_i log2(1 + p0 * m * d_i**-alpha)
     """
-    pos, src = realization.dest_pos, realization.source_pos
     gain = params.p0 * params.m
     dist_sum = value = 0.0
-    # Each chunk's distances are recomputed from positions into one chunk of
-    # scratch and raised to -alpha in place; the first chunk is the longest.
-    chunks = _chunks(realization.n)
-    scratch = np.empty(chunks[0].stop)
-    for s in chunks:
-        terms = _source_dist(pos[s], src, out=scratch[:s.stop - s.start])
+    # Each block of distances is raised to -alpha in place.
+    for terms in realization.source_distances():
         np.power(terms, -params.alpha, out=terms)
         dist_sum += float(terms.sum())
         if params.beta <= 1.0:

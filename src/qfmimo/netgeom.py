@@ -16,18 +16,20 @@ points that write straight into the arrays the realization keeps, so
 temporaries stay chunk-sized and a network of n <= _CHUNK takes one pass.
 Each source distance is computed once, in the chunk that draws its point,
 for the disk check and the sort key; the key's distance prefix is laid out
-from bounds known before any draw, so no n-sized distance array exists.
-Readers recompute distances from positions, bitwise equal to the first
-computation.  What a realization keeps is, at m = 128 and beta = 3
-(n = 2**21): dest_pos 32 MiB and the sorted index array behind
-group_members 16 MiB.
+from the farthest corner of the square, known before any draw, so no
+n-sized distance array exists.  Readers recompute distances from positions,
+bitwise equal to the first computation: a group at a time
+(NetworkRealization.group_distances) or all of them in blocks
+(NetworkRealization.source_distances).  What a realization keeps is, at
+m = 128 and beta = 3 (n = 2**21): dest_pos 32 MiB and the sorted index
+array behind group_members 16 MiB.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,15 +41,11 @@ MAX_EXCLUSION_RADIUS = 0.7
 
 MODES = ("tdma", "hier")
 
-# Points per pass of every n-sized loop of placement, grouping and the
-# cut-set bound.  Each pass writes into the arrays a realization keeps, so a
-# temporary holds at most one chunk; 2**15 points keep a pass's operands in
-# cache.
+# Points per pass of every n-sized loop of placement and grouping, and twice
+# the rows of a source_distances block.  Each pass writes into the arrays a
+# realization keeps, so a temporary holds at most one chunk; 2**15 points
+# keep a pass's operands in cache.
 _CHUNK = 2**15
-
-# Rows whose squared y offsets _source_dist holds in a temporary of their
-# own: 512 bytes of float64.
-_TAIL = 64
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,8 @@ class NetworkRealization:
     cell_counts covers every cell, empty ones too.  groups_of maps
     destinations to their groups.  Positions and the group order are all a
     realization keeps: group_distances recomputes a group's source
-    distances from its members' positions.
+    distances from its members' positions, and source_distances recomputes
+    every destination's, block by block into one reused buffer.
     """
 
     source_pos: np.ndarray
@@ -168,6 +167,21 @@ class NetworkRealization:
         """Source distances of group k's members, ascending, recomputed from
         their positions."""
         return _source_dist(self.dest_pos[self.group_members[k]], self.source_pos)
+
+    def source_distances(self) -> Iterator[np.ndarray]:
+        """Every destination's source distance, in index order, as blocks of
+        at most _CHUNK // 2 rows.
+
+        Each block is a view of one (2, min(n, _CHUNK // 2)) buffer, which
+        holds a block and its squares, and the next block overwrites it: a
+        caller may change a block in place but must not keep it.
+        """
+        rows = _CHUNK // 2
+        buf = np.empty((2, min(self.n, rows)))
+        for lo in range(0, self.n, rows):
+            hi = min(lo + rows, self.n)
+            dist, squares = buf[:, :hi - lo]
+            yield _source_dist(self.dest_pos[lo:hi], self.source_pos, out=dist, squares=squares)
 
     def groups_of(self, dests: np.ndarray) -> np.ndarray:
         """Group ids of destination indices dests: each one's cell counted
@@ -220,8 +234,7 @@ def realization_from_positions(
         raise ValueError(
             f"source position must be finite with finite distances, got {tuple(src.tolist())}"
         )
-    # A destination may sit at the source, so the prefix starts at distance 0.
-    fields = _key_fields(n, g, high, 0.0)
+    fields = _key_fields(n, g, high)
     key = np.empty(n, dtype=np.uint64)
     dist = np.empty(min(n, _CHUNK))
     for s in _chunks(n):
@@ -236,30 +249,28 @@ class _KeyFields(NamedTuple):
 
     The id of the point's cell in a g x g grid takes the high bits and the
     index index_bits low bits; the dist_bits in between hold the prefix
-    (bits(d) - low) >> shift of the distance's bit pattern.  Non-negative
-    doubles order like their bit patterns, so the prefix is non-decreasing
-    in distance: it can tie two distances but never invert them.
+    bits(d) >> shift of the distance's bit pattern.  Non-negative doubles
+    order like their bit patterns, so the prefix is non-decreasing in
+    distance: it can tie two distances but never invert them.
     """
 
     g: int
     index_bits: int
     dist_bits: int
-    low: np.uint64
     shift: int
 
 
-def _key_fields(n: int, g: int, high: float, low: float) -> _KeyFields:
-    """Key layout for n points on a g x g grid at distances in [low, high].
+def _key_fields(n: int, g: int, high: float) -> _KeyFields:
+    """Key layout for n points on a g x g grid at distances in [0, high].
 
-    Both bounds are known before any point is drawn, so every chunk can
-    write its keys as soon as it has its distances.  The fields fit for
-    n < 2**32.
+    The bound is known before any point is drawn, so every chunk can write
+    its keys as soon as it has its distances, and no distance's prefix
+    overflows its field.  The fields fit for n < 2**32.
     """
     index_bits = max(1, (n - 1).bit_length())
     dist_bits = 64 - index_bits - max(1, (g * g - 1).bit_length())
-    low_bits, high_bits = (int(np.float64(v).view(np.uint64)) for v in (low, high))
-    shift = max(0, (high_bits - low_bits).bit_length() - dist_bits)
-    return _KeyFields(g, index_bits, dist_bits, np.uint64(low_bits), shift)
+    shift = max(0, int(np.float64(high).view(np.uint64)).bit_length() - dist_bits)
+    return _KeyFields(g, index_bits, dist_bits, shift)
 
 
 def _pack_keys(
@@ -273,17 +284,13 @@ def _pack_keys(
     """Write the sort keys of points pos, with uint64 indices index, into out.
 
     The points' source distances are computed into the scratch dist and
-    returned, for the caller's disk check.  A distance below the layout's
-    low bound wraps around; its key is garbage and must be rebuilt before
-    the sort.
+    returned, for the caller's disk check.
     """
     # The keys are not written yet, so out holds the squares.
     _source_dist(pos, src, out=dist, squares=out.view(np.float64))
     part = _cell_ids(pos, fields.g, out=out)
     part <<= fields.dist_bits
-    prefix = dist.view(np.uint64) - fields.low
-    prefix >>= fields.shift
-    part |= prefix
+    part |= dist.view(np.uint64) >> fields.shift
     part <<= fields.index_bits
     part |= index
     return dist
@@ -363,9 +370,7 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
     g = partition_cells(n, params.q)
     src = np.asarray(SOURCE_POS, dtype=float)
     r = params.exclusion_radius
-    # Every kept distance exceeds r, so the prefix can start at r; the keys
-    # of points inside the disk wrap, and are rebuilt once they are redrawn.
-    fields = _key_fields(n, g, _corner_distance(src), r)
+    fields = _key_fields(n, g, _corner_distance(src))
     pos = np.empty((n, 2))
     key = np.empty(n, dtype=np.uint64)
     dist = np.empty(min(n, _CHUNK))
@@ -410,28 +415,15 @@ def _source_dist(
 ) -> np.ndarray:
     """Row distances to src, bitwise equal to norm(pos - src, axis=1).
 
-    Computed in place in out (a new array by default).  The squared y
-    offsets go to squares, scratch of pos's length, in one pass; without
-    it each block of rows keeps them in the part of out that the later
-    blocks fill, so blocks halve down to the last _TAIL rows, whose squares
-    take a small temporary, and no chunk of scratch is needed.
+    One pass computes them in out, with the squared y offsets in squares;
+    either is a new array unless the caller lends scratch of pos's length.
     """
-    dist = np.empty(pos.shape[0]) if out is None else out
-    lo, n = 0, dist.size
-    while lo < n:
-        if squares is not None:
-            hi, room = n, squares
-        else:
-            hi = lo + ((n - lo) // 2 if n - lo > _TAIL else n - lo)
-            room = dist[hi:2 * hi - lo] if hi < n else None
-        d = np.subtract(pos[lo:hi, 0], src[0], out=dist[lo:hi])
-        d *= d
-        dy = np.subtract(pos[lo:hi, 1], src[1], out=room)
-        dy *= dy
-        d += dy
-        np.sqrt(d, out=d)
-        lo = hi
-    return dist
+    d = np.subtract(pos[:, 0], src[0], out=out)
+    d *= d
+    dy = np.subtract(pos[:, 1], src[1], out=squares)
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
 
 
 def _corner_distance(src: np.ndarray) -> float:
@@ -451,14 +443,5 @@ def cell_occupancy_stats(realization: NetworkRealization) -> tuple[int, int, flo
 
 
 def min_source_distance(realization: NetworkRealization) -> float:
-    """Smallest source-to-destination distance in the realization.
-
-    The distances are recomputed one chunk at a time into one chunk of
-    scratch.
-    """
-    pos, src = realization.dest_pos, realization.source_pos
-    dist = np.empty(min(realization.n, _CHUNK))
-    return min(
-        float(_source_dist(pos[s], src, out=dist[: s.stop - s.start]).min())
-        for s in _chunks(realization.n)
-    )
+    """Smallest source-to-destination distance in the realization."""
+    return min(float(d.min()) for d in realization.source_distances())

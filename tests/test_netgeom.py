@@ -140,8 +140,8 @@ def test_min_source_distance_direct():
 @pytest.mark.parametrize("scratch", [False, True], ids=["in_place", "squares"])
 @pytest.mark.parametrize("n", [1, 64, 65, 129, 1000, 2**15 + 3])
 def test_source_dist_blocks_match_norm(n, scratch):
-    # Sizes at and just past the tail and a chunk, so each halving step
-    # ends on a different block edge; with scratch there is one block.
+    # Sizes from one row to just past a chunk, with new arrays for the
+    # squares or with scratch lent for them; either way one pass.
     pos = np.random.default_rng(n).random((n, 2))
     src = np.array([0.3, 0.7])
     out = np.full(n, np.nan)
@@ -643,3 +643,41 @@ def test_min_source_distance_needs_only_chunk_scratch(radius):
     assert smallest > radius
     # One chunk of distances, against 2 MiB for n distances.
     assert peak <= 8 * netgeom._CHUNK + 4096
+
+
+@pytest.mark.parametrize("n", [1, 50, SMALL_CHUNK, 1000])
+def test_source_distances_blocks_reuse_one_buffer(monkeypatch, n):
+    # Blocks of at most half a chunk, in index order, each a view of the
+    # same buffer, and together bitwise equal to a norm over all rows.
+    monkeypatch.setattr(netgeom, "_CHUNK", SMALL_CHUNK)
+    pos = np.random.default_rng(n).random((n, 2))
+    r = realization_from_positions(pos, grid_side=3)
+    blocks, bases = [], set()
+    for d in r.source_distances():
+        assert 1 <= d.size <= SMALL_CHUNK // 2
+        assert d.base is not None
+        bases.add(id(d.base))
+        blocks.append(d.copy())
+    assert len(bases) == 1
+    assert len(blocks) == -(-n // (SMALL_CHUNK // 2))
+    assert np.array_equal(np.concatenate(blocks), _norm_dist(r))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_place_nodes_repairs_ties_at_scale(seed):
+    # At 2**18 destinations the distance prefix drops 26 bits, so a few
+    # neighbouring keys of a default placement tie in cell and prefix
+    # (8 pairs at seed 0, 5 at seed 1), and only the repair orders them.
+    p = NetworkParams(m=64, beta=3.0, seed=seed)
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    assert r.n == 2**18
+    g, dist = r.grid_side, _norm_dist(r)
+    cols, rows = np.minimum((r.dest_pos * g).astype(int), g - 1).T
+    cells = rows * g + cols
+    order = np.lexsort((np.arange(r.n), dist, cells))
+    assert np.array_equal(np.concatenate(r.group_members), order)
+    fields = netgeom._key_fields(r.n, g, netgeom._corner_distance(r.source_pos))
+    prefix = dist[order].view(np.uint64) >> np.uint64(fields.shift)
+    cells = cells[order]
+    tied = (cells[1:] == cells[:-1]) & (prefix[1:] == prefix[:-1])
+    assert np.count_nonzero(tied) > 0
