@@ -72,9 +72,9 @@ def mimo_ergodic_capacity_mc(
     Th is an (n_rx, m) matrix of i.i.d. unit-modulus phases (isotropic input
     across the m antennas).  Returns (capacity, standard error).
     """
-    if n_rx < 1 or m < 1 or trials < 1:
+    if not (n_rx >= 1 and m >= 1 and trials >= 1):
         raise ValueError("n_rx, m, and trials must all be >= 1")
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"p must be > 0, got {p}")
     scale = np.full(n_rx, math.sqrt(p / m))
     mean, stderr = ergodic_logdet([scale], m, trials, [rng], {"phase": 0.0, "gram": 0.0})
@@ -89,7 +89,7 @@ def lozano_regime_value(regime: str, p: float, a: float | None = None) -> float:
     below; tall arrays (a -> 0) the leading term a * log2(p / a), evaluated
     at an explicitly supplied small a (the O(a) remainder is dropped).
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"p must be > 0, got {p}")
     if regime == REGIME_A_INF:
         return math.log2(1.0 + p)
@@ -99,7 +99,7 @@ def lozano_regime_value(regime: str, p: float, a: float | None = None) -> float:
             math.log2(math.e) / (4.0 * p)
         ) * (root - 1.0) ** 2
     if regime == REGIME_A_ZERO:
-        if a is None or a <= 0:
+        if a is None or not a > 0:
             raise ValueError("the a_to_0 regime needs an explicit a > 0")
         return a * math.log2(p / a)
     raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")

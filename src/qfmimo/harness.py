@@ -175,7 +175,8 @@ class PointResult:
     "rate" (sum-rate estimate) and "bound" (cut-set upper bound), plus the
     parts of the rate stage "link" (link capacities and quantization noise),
     "phase" (unit-modulus phase draws) and "gram" (row scaling, Gram
-    matrices and log-dets).
+    matrices and log-dets).  The report keeps the point's realization alive,
+    so the CLI and sweep workers keep only row().
     """
 
     params: NetworkParams
@@ -248,7 +249,7 @@ def run_point(params: NetworkParams) -> PointResult:
                 "guard; near-source destinations will dominate the upper bound",
                 stacklevel=2,
             )
-    report = sum_rate(realization, params, derive_rng(params.seed, 1), params.sample_size)
+    report = sum_rate(realization, params, derive_rng(params.seed, 1))
     t_rate = perf_counter()
     upper = cutset_upper_bound(realization, params)
     t_bound = perf_counter()

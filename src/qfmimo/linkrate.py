@@ -41,7 +41,7 @@ def riemann_zeta(s: float) -> float:
     Euler-Maclaurin endpoint and first curvature corrections; the truncation
     error is then of order s**3 * K**(-s-3).
     """
-    if s <= 1.0:
+    if not s > 1.0:
         raise ValueError(f"zeta series diverges for s <= 1, got s={s}")
     k = _ZETA_TERMS
     i = np.arange(1, k + 1, dtype=float)
@@ -58,13 +58,13 @@ def tdma_worst_case_capacity(d: float, n2: int, p1: float, alpha: float) -> floa
     exceeds p1 for every alpha > 2, so the value is negative whenever it is
     finite.  The exact-geometry model below is what the rate pipeline uses.
     """
-    if d <= 0:
+    if not d > 0:
         raise ValueError(f"cell side d must be > 0, got {d}")
-    if n2 < 1:
+    if not n2 >= 1:
         raise ValueError(f"n2 must be >= 1, got {n2}")
-    if alpha <= 2:
+    if not alpha > 2:
         raise ValueError(f"alpha must be > 2, got {alpha}")
-    if p1 < 0:
+    if not p1 >= 0:
         raise ValueError(f"p1 must be >= 0, got {p1}")
     if p1 == 0.0:
         return -math.inf

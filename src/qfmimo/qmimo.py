@@ -64,6 +64,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -456,7 +457,12 @@ def noise_profile(
 
 @dataclass
 class DestinationRate:
-    """Rate estimate and link/noise bookkeeping for one destination."""
+    """Rate estimate of one destination, and its link/noise bookkeeping.
+
+    The bookkeeping, four n2-vectors over relay ranks, is rebuilt bit for bit
+    from the realization and params on first read: link_capacities and noises
+    (a noise_profile row) and the rate-constraint audit (check_rate_constraints).
+    """
 
     group: int
     rank: int
@@ -464,10 +470,30 @@ class DestinationRate:
     rate: float
     stderr: float
     mean_logdet: float
-    link_capacities: np.ndarray = field(repr=False)
-    noises: np.ndarray = field(repr=False)
-    quantizer_rates: np.ndarray = field(repr=False)
-    mi_quantize: np.ndarray = field(repr=False)
+    realization: NetworkRealization = field(repr=False, compare=False)
+    params: NetworkParams = field(repr=False, compare=False)
+
+    @cached_property
+    def _bookkeeping(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        profile = noise_profile(self.realization, self.group, np.array([self.rank]), self.params)
+        caps, noises, powers = (a[0] for a in profile)
+        delta, n2 = self.params.delta, noises.size
+        usable = np.isfinite(noises)
+        with np.errstate(divide="ignore"):
+            fidelity = np.log2(1.0 + powers / noises)
+        # An unused relay forwards nothing.  Where the noise underflowed to zero
+        # (the self link included) the fidelity bound coincides with the link
+        # budget exponent, infinite for the self link.
+        budget_expo = (1.0 - delta) / delta * (self.realization.n / (4.0 * n2)) * caps
+        mi_quantize = np.where(usable, np.where(noises > 0.0, fidelity, budget_expo), 0.0)
+        # A usable relay is granted exactly its relay-phase budget
+        # (1-delta)/(4 n2) of the link capacity; the self link's is infinite.
+        quantizer_rates = np.where(usable, (1.0 - delta) / (4.0 * n2) * caps, 0.0)
+        return caps, noises, quantizer_rates, mi_quantize
+
+    link_capacities, noises, quantizer_rates, mi_quantize = (
+        property(lambda self, i=i: self._bookkeeping[i]) for i in range(4)
+    )
 
 
 def achievable_rate(
@@ -477,60 +503,37 @@ def achievable_rate(
     params: NetworkParams,
     rngs: Sequence[np.random.Generator],
     timings: dict[str, float],
-) -> list[DestinationRate]:
+) -> tuple[list[DestinationRate], np.ndarray, np.ndarray]:
     """Quantize-and-forward rates of destination ranks `ranks` of group k.
 
-    Rates the batch with one generator per rank and returns one
-    DestinationRate per rank, in order.  Link capacities follow params.mode;
-    each destination's own observation enters with zero quantization noise
-    (an infinite-capacity self-link).  Alongside the Monte Carlo rate the
-    per-relay quantizer rates and mutual-information bounds are recorded so a
-    report can be audited against the rate-constraint system (see
-    check_rate_constraints).  The seconds spent on link capacities plus
-    quantization noise are added to timings["link"], those of the Monte
-    Carlo log-det to timings["phase"] and timings["gram"] (see
+    Rates the batch with one generator per rank, and returns one
+    DestinationRate per rank, in order, and the batch's (J, n2) capacities
+    and noises from noise_profile.  The seconds spent on link capacities
+    plus quantization noise are added to timings["link"], those of the
+    Monte Carlo log-det to timings["phase"] and timings["gram"] (see
     ergodic_logdet).
     """
     t0 = perf_counter()
-    caps, noises, powers = noise_profile(realization, k, ranks, params)
-    n = realization.n
-    n2 = noises.shape[1]
-
-    usable = np.isfinite(noises)
-    with np.errstate(divide="ignore"):
-        fidelity = np.log2(1.0 + powers / noises)
-    # An unused relay forwards nothing.  Where the noise underflowed to zero
-    # (the self link included) the fidelity bound coincides with the link
-    # budget exponent, infinite for the self link.
-    budget_expo = (1.0 - params.delta) / params.delta * (n / (4.0 * n2)) * caps
-    mi_quantize = np.where(usable, np.where(noises > 0.0, fidelity, budget_expo), 0.0)
-
-    # A usable relay is granted exactly its relay-phase budget
-    # (1-delta)/(4 n2) of the link capacity; the self link's is infinite.
-    quantizer_rates = np.where(usable, (1.0 - params.delta) / (4.0 * n2) * caps, 0.0)
-
+    caps, noises, _ = noise_profile(realization, k, ranks, params)
     d = realization.group_distances(k)
     gamma = (d[-1] / d) ** (params.alpha / 2.0)
     timings["link"] += perf_counter() - t0
     rate, stderr, mean_logdet = quantized_mimo_rate(
-        gamma, noises, params.p0, params.m, params.delta, n, params.trials, rngs, timings
+        gamma, noises, params.p0, params.m, params.delta, realization.n, params.trials, rngs, timings
     )
-    members = realization.group_members[k]
     return [
         DestinationRate(
             group=k,
             rank=int(rank),
-            dest_index=int(members[rank]),
+            dest_index=int(realization.group_members[k][rank]),
             rate=float(rate[r]),
             stderr=float(stderr[r]),
             mean_logdet=float(mean_logdet[r]),
-            link_capacities=caps[r].copy(),
-            noises=noises[r].copy(),
-            quantizer_rates=quantizer_rates[r].copy(),
-            mi_quantize=mi_quantize[r].copy(),
+            realization=realization,
+            params=params,
         )
         for r, rank in enumerate(ranks)
-    ]
+    ], caps, noises
 
 
 def check_rate_constraints(
@@ -586,10 +589,11 @@ class RateReport:
     covers neither the spread across networks (other seeds) nor the bias of
     a sampled minimum above the exact one.  n_max is the largest finite
     quantization noise seen, c_link_min the smallest relay-link capacity,
-    self links excluded (NaN when no sampled destination has a relay).
-    timings holds the wall seconds spent on link capacities plus
-    quantization noise ("link"), on phase draws ("phase") and on Gram
-    matrices and log-dets ("gram").
+    self links excluded (NaN when no sampled destination has a relay).  The
+    report keeps its realization alive (see DestinationRate).  timings holds
+    the wall seconds spent on link capacities plus quantization noise
+    ("link"), on phase draws ("phase") and on Gram matrices and log-dets
+    ("gram").
     """
 
     n: int
@@ -616,24 +620,21 @@ def sum_rate(
     realization: NetworkRealization,
     params: NetworkParams,
     rng: np.random.Generator,
-    sample_size: int,
 ) -> RateReport:
     """Estimate the achievable sum rate n * min_j R(j) on a realization.
 
-    Evaluates achievable_rate on a uniform sample of sample_size destinations
-    (all of them when sample_size >= n); each destination consumes an
+    Evaluates achievable_rate on a uniform sample of params.sample_size
+    destinations (all of them when it is at least n); each one consumes an
     independent substream seeded from rng, so evaluation order and worker
     count cannot change the result.  The sample is rated in batches of
     destinations sharing a group, at most _batch_size of them at a time, and
     reported in sampling order.
     """
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     n = realization.n
-    if sample_size >= n:
+    if params.sample_size >= n:
         chosen = np.arange(n)
     else:
-        chosen = rng.choice(n, size=sample_size, replace=False)
+        chosen = rng.choice(n, size=params.sample_size, replace=False)
     dest_seeds = rng.integers(0, 2**63, size=chosen.size)
 
     groups = realization.groups_of(chosen)
@@ -641,6 +642,7 @@ def sum_rate(
     runs = np.split(order, np.flatnonzero(np.diff(groups[order])) + 1)
     destinations = [None] * chosen.size
     timings = {"link": 0.0, "phase": 0.0, "gram": 0.0}
+    n_max, relay_cap_mins = 0.0, []
     for run in runs:
         k = int(groups[run[0]])
         # A destination's rank is its position in the group's members.
@@ -652,24 +654,21 @@ def sum_rate(
             batch = run[lo : lo + size]
             rngs = [np.random.default_rng(int(seed)) for seed in dest_seeds[batch]]
             ranks = run_ranks[lo : lo + size]
-            rated = achievable_rate(realization, k, ranks, params, rngs, timings)
+            rated, caps, noises = achievable_rate(realization, k, ranks, params, rngs, timings)
             for index, dr in zip(batch, rated):
                 destinations[index] = dr
+            n_max = max(n_max, float(noises[np.isfinite(noises)].max(initial=0.0)))
+            if caps.shape[1] > 1:  # self links are infinite, so this is a relay link's
+                relay_cap_mins.append(float(caps.min()))
 
     worst = min(destinations, key=lambda dr: dr.rate)
-    noises = np.concatenate([dr.noises for dr in destinations])
-    caps = np.concatenate([dr.link_capacities for dr in destinations])
-    finite_noises = noises[np.isfinite(noises) & (noises > 0.0)]
-    # Self links are infinite, so the smallest capacity is a relay link's
-    # whenever some sampled group has more than one member.
-    has_relay = caps.size > len(destinations)
     return RateReport(
         n=n,
         destinations=destinations,
         r_ind=worst.rate,
         r_sum=n * worst.rate,
         r_sum_stderr=n * worst.stderr,
-        n_max=float(finite_noises.max()) if finite_noises.size else 0.0,
-        c_link_min=float(caps.min()) if has_relay else math.nan,
+        n_max=n_max,
+        c_link_min=min(relay_cap_mins, default=math.nan),
         timings=timings,
     )

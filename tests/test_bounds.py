@@ -105,6 +105,11 @@ def test_mc_capacity_rejects_bad_input():
         mimo_ergodic_capacity_mc(4, 4, 0.0, 10, derive_rng(0))
     with pytest.raises(ValueError):
         mimo_ergodic_capacity_mc(4, 4, 1.0, 0, derive_rng(0))
+    # Each parameter's check is written to fail on NaN too.
+    for args in ((math.nan, 4, 1.0, 10), (4, math.nan, 1.0, 10), (4, 4, math.nan, 10),
+                 (4, 4, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            mimo_ergodic_capacity_mc(*args, derive_rng(0))
 
 
 def test_regime_values():
@@ -122,3 +127,7 @@ def test_regime_errors():
         lozano_regime_value("a_to_0", 1.0)  # needs an explicit a
     with pytest.raises(ValueError):
         lozano_regime_value("a_to_1", 0.0)
+    with pytest.raises(ValueError):
+        lozano_regime_value("a_to_inf", math.nan)
+    with pytest.raises(ValueError):
+        lozano_regime_value("a_to_0", 1.0, a=math.nan)

@@ -79,7 +79,7 @@ def test_run_point_holds_no_distance_array(mode):
     kept = r.dest_pos.nbytes + r.n * np.dtype(np.intp).itemsize + r.cell_counts.nbytes
     tracemalloc.start()
     try:
-        sum_rate(r, p, derive_rng(p.seed, 1), p.sample_size)
+        sum_rate(r, p, derive_rng(p.seed, 1))
         rate_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -98,6 +98,27 @@ def test_run_point_single_destination():
     res = run_point(p)
     assert res.n == 1
     assert res.report.r_sum == res.report.destinations[0].rate
+
+
+def test_clipped_one_member_group_sets_the_exact_minimum():
+    # The m=8 row of a tdma beta=3 sweep at master seed 2, with every one of
+    # its 512 destinations rated: the minimum is a one-member group's
+    # delta * log2(1 + p0) = 0.5, in a cell the exclusion disk clips.  The
+    # row's 30-destination sample misses that group.
+    p = point_params(NetworkParams(beta=3.0, trials=8, sample_size=512, seed=2), 8)
+    report = run_point(p).report
+    assert report.sample_size == 512
+    assert report.r_sum == p.delta * math.log2(1.0 + p.p0) == 0.5
+    worst = min(report.destinations, key=lambda dr: dr.rate)
+    r = worst.realization
+    assert r.n2_of(worst.group) == 1
+    # Rows of the grid run along y and columns along x (netgeom._cell_ids).
+    row, col = r.group_cells[worst.group]
+    lo = np.array([col, row]) / r.grid_side
+    nearest = np.clip(r.source_pos, lo, lo + 1.0 / r.grid_side)
+    assert np.hypot(*(nearest - r.source_pos)) < p.exclusion_radius
+    sampled = run_point(replace(p, sample_size=30)).report
+    assert sampled.r_sum == pytest.approx(5.570164736396689, rel=1e-12, abs=0.0)
 
 
 def test_mode_changes_rates_not_geometry():

@@ -41,7 +41,7 @@ def test_zeta_near_divergence_still_converges():
 
 
 def test_zeta_rejects_divergent_arguments():
-    for s in (1.0, 0.5, -2.0):
+    for s in (1.0, 0.5, -2.0, math.nan):
         with pytest.raises(ValueError):
             riemann_zeta(s)
 
@@ -88,6 +88,15 @@ def test_worst_case_rejects_bad_input():
         tdma_worst_case_capacity(0.1, 4, 1.0, 2.0)
     with pytest.raises(ValueError):
         tdma_worst_case_capacity(0.1, 0, 1.0, 4.0)
+    # Each parameter's check is written to fail on NaN too.
+    for args in (
+        (math.nan, 4, 1.0, 4.0),
+        (0.1, math.nan, 1.0, 4.0),
+        (0.1, 4, math.nan, 4.0),
+        (0.1, 4, 1.0, math.nan),
+    ):
+        with pytest.raises(ValueError):
+            tdma_worst_case_capacity(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def _logdet_one(row_scale, m, trials, rng):
 
 
 def _destination_rate(realization, k, j, params, rng):
-    return achievable_rate(realization, k, np.array([j]), params, [rng], _timings())[0]
+    return achievable_rate(realization, k, np.array([j]), params, [rng], _timings())[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +582,7 @@ def test_constraints_reject_mismatched_lengths():
 def test_pipeline_output_satisfies_constraints():
     p = NetworkParams(m=4, beta=2.0, seed=6, trials=32, sample_size=8)
     r = place_nodes(p, derive_rng(p.seed, 0))
-    report = sum_rate(r, p, derive_rng(p.seed, 1), 8)
+    report = sum_rate(r, p, derive_rng(p.seed, 1))
     for dr in report.destinations:
         assert check_rate_constraints(
             dr.rate,
@@ -602,8 +603,8 @@ def test_pipeline_output_satisfies_constraints():
 
 def test_sum_rate_single_destination():
     r = realization_from_positions(np.array([[0.5, 0.9]]), grid_side=1)
-    p = NetworkParams(m=1, beta=1.0, trials=16)
-    report = sum_rate(r, p, derive_rng(1), 5)
+    p = NetworkParams(m=1, beta=1.0, trials=16, sample_size=5)
+    report = sum_rate(r, p, derive_rng(1))
     assert report.sample_size == 1
     assert report.r_sum == report.destinations[0].rate
     assert report.r_ind == report.destinations[0].rate
@@ -612,27 +613,20 @@ def test_sum_rate_single_destination():
 def test_sum_rate_full_sample_takes_exact_minimum():
     p = NetworkParams(m=3, beta=2.0, seed=8, trials=16)
     r = place_nodes(p, derive_rng(p.seed, 0))
-    report = sum_rate(r, p, derive_rng(2), 50)
+    report = sum_rate(r, p, derive_rng(2))
     assert report.sample_size == r.n
     assert report.r_ind == min(dr.rate for dr in report.destinations)
     assert report.r_sum == r.n * report.r_ind
 
 
 def test_sum_rate_subsample_is_deterministic():
-    p = NetworkParams(m=4, beta=2.0, seed=9, trials=16)
+    p = NetworkParams(m=4, beta=2.0, seed=9, trials=16, sample_size=4)
     r = place_nodes(p, derive_rng(p.seed, 0))
-    a = sum_rate(r, p, derive_rng(3), 4)
-    b = sum_rate(r, p, derive_rng(3), 4)
+    a = sum_rate(r, p, derive_rng(3))
+    b = sum_rate(r, p, derive_rng(3))
     assert a.r_sum == b.r_sum
     assert a.sample_size == 4
     assert [d.dest_index for d in a.destinations] == [d.dest_index for d in b.destinations]
-
-
-def test_sum_rate_rejects_empty_sample():
-    r = realization_from_positions(np.array([[0.5, 0.9]]), grid_side=1)
-    p = NetworkParams(m=1, beta=1.0)
-    with pytest.raises(ValueError):
-        sum_rate(r, p, derive_rng(0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +648,14 @@ def _scan_group_members(realization):
     return group, rank
 
 
-def _reference_sum_rate(realization, params, rng, sample_size):
+def _reference_sum_rate(realization, params, rng):
     """sum_rate as a loop of achievable_rate calls on batches of one, one
     generator per destination, evaluated in sampling order."""
     n = realization.n
-    if sample_size >= n:
+    if params.sample_size >= n:
         chosen = np.arange(n)
     else:
-        chosen = rng.choice(n, size=sample_size, replace=False)
+        chosen = rng.choice(n, size=params.sample_size, replace=False)
     dest_seeds = rng.integers(0, 2**63, size=chosen.size)
     group, rank = _scan_group_members(realization)
     destinations, generators = [], []
@@ -702,6 +696,7 @@ BATCH_CASES = {
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, budget):
     p, sample_size = BATCH_CASES[case]
+    p = replace(p, sample_size=sample_size)
     r = place_nodes(p, derive_rng(p.seed, 0))
     if case == "tdma_dropped_relays":
         for k in range(r.n1):
@@ -721,12 +716,17 @@ def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, bu
     def spy(realization, k, ranks, params, rngs, timings):
         assert len(ranks) <= qmimo._batch_size(realization, k, params)
         batches.append((k, np.asarray(ranks).copy(), list(rngs)))
-        return achievable_rate(realization, k, ranks, params, rngs, timings)
+        rated, caps, noises = achievable_rate(realization, k, ranks, params, rngs, timings)
+        # The bookkeeping a destination rebuilds alone is its row of the batch.
+        for dr, cap_row, noise_row in zip(rated, caps, noises):
+            assert dr.link_capacities.tobytes() == cap_row.tobytes()
+            assert dr.noises.tobytes() == noise_row.tobytes()
+        return rated, caps, noises
 
     ref_rng, new_rng = derive_rng(p.seed, 1), derive_rng(p.seed, 1)
-    reference, ref_gens = _reference_sum_rate(r, p, ref_rng, sample_size)
+    reference, ref_gens = _reference_sum_rate(r, p, ref_rng)
     monkeypatch.setattr(qmimo, "achievable_rate", spy)
-    report = sum_rate(r, p, new_rng, sample_size)
+    report = sum_rate(r, p, new_rng)
 
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
     assert all(np.ndim(j) == 1 for _, j, _ in batches)
@@ -803,11 +803,32 @@ def test_batch_memory_stays_bounded(monkeypatch):
 
     monkeypatch.setattr(np, "unique", refuse)
     monkeypatch.setattr(np, "union1d", refuse)
-    sum_rate(r, p, derive_rng(p.seed, 1), p.sample_size)  # warm numpy paths
+    sum_rate(r, p, derive_rng(p.seed, 1))  # warm numpy paths
     tracemalloc.start()
     try:
-        sum_rate(r, p, derive_rng(p.seed, 1), p.sample_size)
+        sum_rate(r, p, derive_rng(p.seed, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * PER_DESTINATION_PEAK
+
+
+def test_report_keeps_no_per_destination_bookkeeping():
+    # Every destination of one hier group of 256: copies of four n2-vectors
+    # per destination would keep 4 * n * n2 * 8 bytes (2 MiB).  The report
+    # keeps each destination's scalars and rebuilds its bookkeeping on read.
+    p = NetworkParams(m=16, beta=2.0, mode="hier", q=0.05, epsilon=0.05, trials=8,
+                      sample_size=256, seed=1)
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    assert r.n1 == 1 and r.n == r.n2_of(0) == 256
+    sum_rate(r, p, derive_rng(p.seed, 1))  # warm numpy paths
+    tracemalloc.start()
+    try:
+        report = sum_rate(r, p, derive_rng(p.seed, 1))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.sample_size == r.n
+    assert kept < r.n * r.n2_of(0) * 8
+    dr = report.destinations[0]
+    assert dr.noises is dr.noises  # rebuilt once, on first read
