@@ -23,8 +23,8 @@ import math
 import sys
 import time
 
-from qfmimo import NetworkParams, fit_scaling, run_sweep
-from qfmimo.cli import positive_int
+from qfmimo import ConfigError, NetworkParams, check_sweep, fit_scaling, run_sweep
+from qfmimo.cli import int_list, positive_int
 from qfmimo.harness import POINT_FAILURES, SweepFailure, _one_blas_thread
 
 # Per-mode defaults of --beta and --sample-size.
@@ -35,17 +35,11 @@ PROFILES = {
 
 
 def m_values(text: str) -> list[int]:
-    """Ascending comma-separated antenna counts, at least 3 for the fit and
-    each >= 2 so that m log2 m > 0."""
+    """Comma-separated antenna counts that the m_log_m_ratio fit accepts."""
     try:
-        values = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        values = []
-    if len(values) < 3 or min(values) < 2 or any(b <= a for a, b in zip(values, values[1:])):
-        raise argparse.ArgumentTypeError(
-            f"expects at least 3 ascending comma-separated integers >= 2, got {text!r}"
-        )
-    return values
+        return check_sweep(int_list(text), fit="m_log_m_ratio")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def unit_interval(text: str) -> float:
@@ -93,18 +87,18 @@ def main() -> int:
     _one_blas_thread()
     t0 = time.perf_counter()
     try:
-        series = run_sweep(params, args.m, workers=args.workers)
-        power = fit_scaling(series, "power_law")
-        ratio = fit_scaling(series, "m_log_m_ratio")
+        rows = run_sweep(params, args.m, workers=args.workers)
+        power = fit_scaling(rows, "power_law")
+        ratio = fit_scaling(rows, "m_log_m_ratio")
     except POINT_FAILURES as exc:
         # The points that completed before the failure are still reported.
-        if isinstance(exc, SweepFailure) and exc.partial.rows:
-            print_rows(exc.partial.rows)
+        if isinstance(exc, SweepFailure) and exc.partial:
+            print_rows(exc.partial)
         print(f"error: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - t0
 
-    print_rows(series.rows)
+    print_rows(rows)
     print(f"\nlog-log slope: {power.slope:.3f} (rms residual {power.residual:.3g})")
     print(f"ratio constancy max/min: {ratio.max_min_ratio:.3f} "
           f"({'consistent with' if ratio.max_min_ratio <= 2.5 else 'deviates from'} m log m shape)")

@@ -23,9 +23,9 @@ from .harness import (
     PointResult,
     PowerLawFit,
     RatioFit,
-    ScalingSeries,
     SweepFailure,
     SweepRow,
+    check_sweep,
     fit_scaling,
     point_params,
     run_point,
@@ -75,13 +75,13 @@ __all__ = [
     "PowerLawFit",
     "RateReport",
     "RatioFit",
-    "ScalingSeries",
     "SweepFailure",
     "SweepRow",
     "UpperBoundReport",
     "achievable_rate",
     "cell_occupancy_stats",
     "check_rate_constraints",
+    "check_sweep",
     "cutset_upper_bound",
     "derive_rng",
     "derive_seed",

@@ -30,10 +30,10 @@ from .harness import (
     POINT_FAILURES,
     ConfigError,
     PowerLawFit,
-    ScalingSeries,
     SweepFailure,
     SweepRow,
     _one_blas_thread,
+    check_sweep,
     fit_scaling,
     run_point,
     run_sweep,
@@ -83,14 +83,12 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _sweep(text: str) -> list[int]:
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers; check_sweep judges them as a sweep."""
     try:
-        m_list = [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        m_list = []
-    if not m_list:
-        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
-    return m_list
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sample-size", type=positive_int, dest="sample_size",
                         help="destinations evaluated per sum-rate estimate")
     parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--sweep", type=_sweep, help="comma-separated ascending m values")
+    parser.add_argument("--sweep", type=int_list, help="comma-separated ascending m values")
     parser.add_argument("--fit", choices=FIT_MODELS, help="fit the sweep's R_sum column")
     parser.add_argument("--out", help="CSV output path (default: stdout)")
     parser.add_argument("--workers", type=positive_int, default=1,
@@ -156,11 +154,9 @@ def main(argv: list[str] | None = None) -> int:
             })
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        m_list, workers, fit_model, out = args.sweep, args.workers, args.fit, args.out
-        if fit_model and (m_list is None or len(m_list) < 3):
-            raise ConfigError("--fit needs a --sweep with at least 3 points")
-        if fit_model == "m_log_m_ratio" and min(m_list) < 2:
-            raise ConfigError("--fit m_log_m_ratio needs every m >= 2 (log2 m must be > 0)")
+        sweep, workers, fit_model, out = args.sweep, args.workers, args.fit, args.out
+        # A single point is a one-point sweep, too short for any fit.
+        check_sweep([params.m] if sweep is None else sweep, fit_model)
         if out is not None:
             # An unwritable CSV path fails now, not after every point has run;
             # an empty one names no file, so it does not fall back to stdout.
@@ -181,22 +177,22 @@ def main(argv: list[str] | None = None) -> int:
         # run_point rejects every non-finite output, so numpy's warnings on
         # the way there would only precede the same failure's error line.
         with np.errstate(all="ignore"):
-            if m_list is None:
-                series = ScalingSeries(rows=[run_point(params).row()])
+            if sweep is None:
+                rows = [run_point(params).row()]
             else:
                 try:
-                    series = run_sweep(params, m_list, workers=workers)
+                    rows = run_sweep(params, sweep, workers=workers)
                 except SweepFailure as exc:
                     _emit(exc.partial, out)
                     print(f"error: {exc}", file=sys.stderr)
                     return 3
-        for row in series.rows:
+        for row in rows:
             _log_point(row)
 
-        _emit(series, out)
+        _emit(rows, out)
 
         if fit_model:
-            fit = fit_scaling(series, fit_model)
+            fit = fit_scaling(rows, fit_model)
             if isinstance(fit, PowerLawFit):
                 print(
                     f"fit power_law: slope={fit.slope:.4f} residual={fit.residual:.4g}",
@@ -230,12 +226,12 @@ def _log_point(row: SweepRow) -> None:
     )
 
 
-def _emit(series: ScalingSeries, out: str | None) -> None:
+def _emit(rows: list[SweepRow], out: str | None) -> None:
     if out is not None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            write_csv(series, fh)
+            write_csv(rows, fh)
     else:
-        write_csv(series, sys.stdout)
+        write_csv(rows, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,10 @@ would otherwise leak into the reproducible artifact.  The rate stage's time
 is further split into link capacities plus quantization noise and the Monte
 Carlo log-det.
 
+A sweep is a plain list of SweepRow.  check_sweep holds every rule on a
+sweep's m values and their fit, and the entry points call it before they pin
+BLAS or run a point.
+
 Entry points (the CLI, every sweep worker process, the scaling script) run
 OpenBLAS on the calling thread, so parallelism comes from workers alone;
 library calls leave the process's BLAS threads as they are.  The setter is
@@ -113,7 +117,7 @@ class NumericalError(RuntimeError):
 class SweepFailure(NumericalError):
     """A sweep point failed; completed rows are kept on .partial."""
 
-    def __init__(self, message: str, partial: "ScalingSeries"):
+    def __init__(self, message: str, partial: list[SweepRow]):
         super().__init__(message)
         self.partial = partial
 
@@ -207,16 +211,6 @@ class PointResult:
         )
 
 
-@dataclass
-class ScalingSeries:
-    """Rows of an m-sweep, ascending in m."""
-
-    rows: list[SweepRow]
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     slope: float
@@ -295,10 +289,38 @@ def _run_point_row(args: tuple[NetworkParams, int]) -> SweepRow:
     return run_point(point_params(params, m)).row()
 
 
-def run_sweep(
-    params: NetworkParams, m_list: Iterable[int], workers: int = 1
-) -> ScalingSeries:
-    """Run one point per m and assemble rows in ascending m order.
+def check_sweep(m_values: Iterable[int], fit: str | None = None) -> list[int]:
+    """The sweep's m values as ints, or ConfigError if the sweep or its fit is invalid.
+
+    Every m is a whole number, at least one is given, and they are strictly
+    ascending and positive.  A fit names a known model and has at least 3
+    points; m_log_m_ratio divides by m log2 m, so it needs every m >= 2.
+    """
+    m_values = list(m_values)
+    # int() would truncate 2.7 to 2 and turn True into 1; numpy integers,
+    # as np.arange gives, are whole numbers.
+    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) for m in m_values):
+        raise ConfigError(f"sweep m values must be integers, got {m_values}")
+    m_values = [int(m) for m in m_values]
+    if not m_values:
+        raise ConfigError("sweep needs at least one m value")
+    if any(b <= a for a, b in zip(m_values, m_values[1:])):
+        raise ConfigError(f"sweep m values must be strictly ascending, got {m_values}")
+    if m_values[0] < 1:
+        raise ConfigError("sweep m values must be positive")
+    if fit is None:
+        return m_values
+    if fit not in FIT_MODELS:
+        raise ConfigError(f"fit model must be one of {FIT_MODELS}, got {fit!r}")
+    if len(m_values) < 3:
+        raise ConfigError(f"fit needs >= 3 sweep points, got {len(m_values)}")
+    if fit == "m_log_m_ratio" and m_values[0] < 2:
+        raise ConfigError("m_log_m_ratio needs every m >= 2 (log2 m must be > 0)")
+    return m_values
+
+
+def run_sweep(params: NetworkParams, m_list: Iterable[int], workers: int = 1) -> list[SweepRow]:
+    """Run one point per m and return the rows in ascending m order.
 
     Points are independent, so any worker count yields identical rows, and
     workers run under the caller's numpy floating-point error settings with
@@ -307,19 +329,7 @@ def run_sweep(
     If a point fails (a size too large for memory included), the completed
     rows are flushed into SweepFailure.partial.
     """
-    m_list = list(m_list)
-    # int() would truncate 2.7 to 2 and turn True into 1; numpy integers,
-    # as np.arange gives, are whole numbers.
-    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) for m in m_list):
-        raise ConfigError(f"sweep m values must be integers, got {m_list}")
-    m_list = [int(m) for m in m_list]
-    if not m_list:
-        raise ConfigError("sweep needs at least one m value")
-    if any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise ConfigError(f"sweep m values must be strictly ascending, got {m_list}")
-    if any(m < 1 for m in m_list):
-        raise ConfigError("sweep m values must be positive")
-
+    m_list = check_sweep(m_list)
     rows: list[SweepRow] = []
     parallel = workers > 1 and len(m_list) > 1
     executor = (
@@ -336,25 +346,20 @@ def run_sweep(
                 rows.append(row)
         except POINT_FAILURES as exc:
             raise SweepFailure(
-                f"sweep point m={m_list[len(rows)]} failed: {exc}",
-                partial=ScalingSeries(rows=rows),
+                f"sweep point m={m_list[len(rows)]} failed: {exc}", partial=rows
             ) from exc
-    return ScalingSeries(rows=rows)
+    return rows
 
 
-def fit_scaling(series: ScalingSeries, model: str) -> PowerLawFit | RatioFit:
+def fit_scaling(rows: list[SweepRow], model: str) -> PowerLawFit | RatioFit:
     """Fit the sweep's R_sum column against m.
 
     power_law fits the log-log slope; m_log_m_ratio reports R/(m log2 m) and
     its max/min spread, the constancy surrogate for an m log m scaling shape
     (a log factor biases plain slope fits at small m).
     """
-    if model not in FIT_MODELS:
-        raise ConfigError(f"fit model must be one of {FIT_MODELS}, got {model!r}")
-    if len(series.rows) < 3:
-        raise ConfigError(f"fit needs >= 3 sweep points, got {len(series.rows)}")
-    m = series.column("m").astype(float)
-    r = series.column("r_sum").astype(float)
+    m = np.array(check_sweep([row.m for row in rows], model), dtype=float)
+    r = np.array([row.r_sum for row in rows], dtype=float)
     if np.any(r <= 0) or not np.all(np.isfinite(r)):
         raise NumericalError("fit requires strictly positive finite R_sum values")
 
@@ -369,8 +374,6 @@ def fit_scaling(series: ScalingSeries, model: str) -> PowerLawFit | RatioFit:
             residual=float(np.sqrt(np.mean(resid**2))),
         )
 
-    if np.any(m < 2):
-        raise NumericalError("m_log_m_ratio needs every m >= 2 (log2 m must be > 0)")
     ratios = r / (m * np.log2(m))
     return RatioFit(
         ratios=tuple(float(x) for x in ratios),
@@ -378,7 +381,7 @@ def fit_scaling(series: ScalingSeries, model: str) -> PowerLawFit | RatioFit:
     )
 
 
-def write_csv(series: ScalingSeries, stream: IO[str]) -> None:
+def write_csv(rows: list[SweepRow], stream: IO[str]) -> None:
     stream.write(CSV_HEADER + "\n")
-    for row in series.rows:
+    for row in rows:
         stream.write(row.to_csv() + "\n")

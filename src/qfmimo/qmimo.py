@@ -333,11 +333,14 @@ def ergodic_logdet(
     Gram matrices into one span of trials, and each span goes through one
     slogdet call into a (J, trials) array of log-dets.  The seconds spent
     drawing the unit phases are added to timings["phase"], the rest (row
-    scaling, Gram products and slogdet) to timings["gram"].  Raises
-    FloatingPointError, before any draw, when a channel has rows > m and row
-    scales too large for the m x m Gram S'S to resolve det(I + S'S).
+    scaling, Gram products and slogdet) to timings["gram"].  Raises, before
+    any draw, ValueError unless there is one generator per channel, and
+    FloatingPointError when a channel has rows > m and row scales too large
+    for the m x m Gram S'S to resolve det(I + S'S).
     """
     start = perf_counter()
+    if len(rngs) != len(row_scales):
+        raise ValueError(f"{len(row_scales)} channels need as many generators, got {len(rngs)}")
     for scale in row_scales:
         if scale.size > m and np.finfo(float).eps * m * (scale @ scale) > _TALL_GRAM_LIMIT:
             raise FloatingPointError(

@@ -19,9 +19,9 @@ from qfmimo import (
     NumericalError,
     PowerLawFit,
     RatioFit,
-    ScalingSeries,
     SweepFailure,
     SweepRow,
+    check_sweep,
     derive_rng,
     fit_scaling,
     place_nodes,
@@ -149,10 +149,10 @@ def test_exclusion_free_guard_warns_at_tiny_n():
 
 def test_sweep_rows_ascending_and_reproducible():
     p = NetworkParams(beta=2.0, seed=31, **FAST)
-    series = run_sweep(p, [2, 3, 4])
-    assert [r.m for r in series.rows] == [2, 3, 4]
+    rows = run_sweep(p, [2, 3, 4])
+    assert [r.m for r in rows] == [2, 3, 4]
     # each row is reproducible from its own derived seed
-    for row in series.rows:
+    for row in rows:
         again = run_point(point_params(p, row.m))
         assert again.row().to_csv() == row.to_csv()
         assert again.params.seed == row.seed
@@ -162,8 +162,8 @@ def test_sweep_extension_preserves_existing_rows():
     p = NetworkParams(beta=2.0, seed=31, **FAST)
     short = run_sweep(p, [2, 4])
     longer = run_sweep(p, [2, 3, 4])
-    by_m = {r.m: r.to_csv() for r in longer.rows}
-    for row in short.rows:
+    by_m = {r.m: r.to_csv() for r in longer}
+    for row in short:
         assert row.to_csv() == by_m[row.m]
 
 
@@ -171,7 +171,7 @@ def test_sweep_worker_count_does_not_change_rows():
     p = NetworkParams(beta=2.0, seed=13, **FAST)
     serial = run_sweep(p, [2, 3, 4], workers=1)
     parallel = run_sweep(p, [2, 3, 4], workers=3)
-    assert [r.to_csv() for r in serial.rows] == [r.to_csv() for r in parallel.rows]
+    assert [r.to_csv() for r in serial] == [r.to_csv() for r in parallel]
 
 
 def test_sweep_rejects_bad_m_lists():
@@ -184,6 +184,19 @@ def test_sweep_rejects_bad_m_lists():
         run_sweep(p, [2, 2])
     with pytest.raises(ConfigError):
         run_sweep(p, [0, 2])
+    # check_sweep holds these rules, and the fit's, for every caller.
+    for m_values, fit in (
+        ([2.5, 3], None),
+        ([], None),
+        ([2, 2], None),
+        ([0, 2], None),
+        ([2, 3], "power_law"),
+        ([2, 3, 4], "cubic"),
+        ([1, 2, 3], "m_log_m_ratio"),
+    ):
+        with pytest.raises(ConfigError):
+            check_sweep(m_values, fit)
+    assert check_sweep(np.arange(1, 4), "power_law") == [1, 2, 3]
 
 
 def test_sweep_flushes_partial_rows_on_failure(monkeypatch):
@@ -207,7 +220,7 @@ def test_sweep_flushes_partial_rows_on_failure(monkeypatch):
         monkeypatch.setattr(harness, "run_point", explode_on_m3)
         with pytest.raises(SweepFailure) as exc:
             run_sweep(p, [2, 3, 4])
-        assert [r.m for r in exc.value.partial.rows] == [2]
+        assert [r.m for r in exc.value.partial] == [2]
         assert "m=3" in str(exc.value)
 
 
@@ -233,10 +246,10 @@ def test_sweep_pool_capped_at_point_count(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
     p = NetworkParams(beta=2.0, seed=13, **FAST)
-    serial = [r.to_csv() for r in run_sweep(p, [2, 3, 4]).rows]
+    serial = [r.to_csv() for r in run_sweep(p, [2, 3, 4])]
     assert pool_sizes == []
     for workers, size in ((8, 3), (100_000, 3), (2, 2)):
-        rows = run_sweep(p, [2, 3, 4], workers=workers).rows
+        rows = run_sweep(p, [2, 3, 4], workers=workers)
         assert pool_sizes.pop() == size
         assert [r.to_csv() for r in rows] == serial
 
@@ -245,8 +258,7 @@ def test_upper_bound_grows_with_m_on_this_seed():
     # Trend check on a fixed seed: more antennas -> larger cut-set bound.
     # (Not guaranteed at finite scale; the bound is a random quantity.)
     p = NetworkParams(beta=2.0, seed=1, **FAST)
-    series = run_sweep(p, [2, 3, 4, 5, 6])
-    upper = series.column("r_upper")
+    upper = np.array([r.r_upper for r in run_sweep(p, [2, 3, 4, 5, 6])])
     assert np.all(np.diff(upper) >= 0)
 
 
@@ -256,41 +268,36 @@ def test_upper_bound_grows_with_m_on_this_seed():
 
 
 def test_power_law_fit_recovers_exact_exponent():
-    series = ScalingSeries(rows=[_fake_row(m, float(m) ** 2) for m in (2, 4, 8, 16)])
-    fit = fit_scaling(series, "power_law")
+    fit = fit_scaling([_fake_row(m, float(m) ** 2) for m in (2, 4, 8, 16)], "power_law")
     assert isinstance(fit, PowerLawFit)
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
     assert fit.residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ratio_fit_flat_for_exact_m_log_m():
-    series = ScalingSeries(
-        rows=[_fake_row(m, 5.0 * m * math.log2(m)) for m in (2, 4, 8, 16)]
-    )
-    fit = fit_scaling(series, "m_log_m_ratio")
+    rows = [_fake_row(m, 5.0 * m * math.log2(m)) for m in (2, 4, 8, 16)]
+    fit = fit_scaling(rows, "m_log_m_ratio")
     assert isinstance(fit, RatioFit)
     assert fit.max_min_ratio == pytest.approx(1.0, rel=1e-12)
     assert fit.ratios == pytest.approx((5.0,) * 4)
 
 
 def test_fit_rejects_nonpositive_rates():
-    series = ScalingSeries(rows=[_fake_row(m, 0.0) for m in (2, 4, 8)])
     with pytest.raises(NumericalError):
-        fit_scaling(series, "power_law")
+        fit_scaling([_fake_row(m, 0.0) for m in (2, 4, 8)], "power_law")
 
 
 def test_fit_rejects_short_series_and_bad_model():
-    series = ScalingSeries(rows=[_fake_row(2, 1.0), _fake_row(4, 2.0)])
     with pytest.raises(ConfigError):
-        fit_scaling(series, "power_law")
+        fit_scaling([_fake_row(2, 1.0), _fake_row(4, 2.0)], "power_law")
     with pytest.raises(ConfigError):
-        fit_scaling(ScalingSeries(rows=[_fake_row(m, 1.0) for m in (2, 3, 4)]), "cubic")
+        fit_scaling([_fake_row(m, 1.0) for m in (2, 3, 4)], "cubic")
 
 
 def test_ratio_fit_needs_m_at_least_two():
-    series = ScalingSeries(rows=[_fake_row(m, float(m)) for m in (1, 2, 4)])
-    with pytest.raises(NumericalError):
-        fit_scaling(series, "m_log_m_ratio")
+    # A bad input, as the CLI calls it: exit 2, not a numerical failure.
+    with pytest.raises(ConfigError):
+        fit_scaling([_fake_row(m, float(m)) for m in (1, 2, 4)], "m_log_m_ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +323,8 @@ def test_csv_runtime_column_is_reproducibility_placeholder():
 
 
 def test_write_csv_layout():
-    series = ScalingSeries(rows=[_fake_row(2, 1.5)])
     buf = io.StringIO()
-    write_csv(series, buf)
+    write_csv([_fake_row(2, 1.5)], buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("2,4,1,4.0,tdma,1.5,0.0,15.0,0.0,nan,0.0,")
@@ -553,10 +559,10 @@ def test_cli_logs_stage_timings_outside_csv(tmp_path, capsys):
         assert list(stages) == ["place", "rate", "bound"]
         assert all(float(v.rstrip("s")) >= 0.0 for v in stages.values())
     # The CSV is the same bytes as rows that never carried timings.
-    series = run_sweep(NetworkParams(beta=2.0, seed=5, trials=8, sample_size=2), [2, 3])
-    assert all(set(row.timings) == {"place", "rate", "bound"} for row in series.rows)
+    rows = run_sweep(NetworkParams(beta=2.0, seed=5, trials=8, sample_size=2), [2, 3])
+    assert all(set(row.timings) == {"place", "rate", "bound"} for row in rows)
     bare = io.StringIO()
-    write_csv(ScalingSeries(rows=[replace(row, timings={}) for row in series.rows]), bare)
+    write_csv([replace(row, timings={}) for row in rows], bare)
     assert out.read_bytes() == bare.getvalue().encode()
 
 
@@ -726,8 +732,8 @@ def test_sweep_rejects_non_integer_m_values():
     for m_list in ([2.7, 3.2], [True, 2, 3], [2.0, 3], [2, "3"], [np.float64(2.0)]):
         with pytest.raises(ConfigError):
             run_sweep(p, m_list)
-    rows = run_sweep(p, np.arange(2, 4)).rows
-    assert [r.to_csv() for r in rows] == [r.to_csv() for r in run_sweep(p, [2, 3]).rows]
+    rows = run_sweep(p, np.arange(2, 4))
+    assert [r.to_csv() for r in rows] == [r.to_csv() for r in run_sweep(p, [2, 3])]
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +856,10 @@ def test_library_calls_and_rejected_settings_leave_blas_threads_alone(
     run_sweep(p, [2, 3])
     assert main(["--workers", "0"]) == 2
     assert main(["--alpha", "1.5", "--out", str(tmp_path / "bad.csv")]) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 2
+    # A rejected sweep is a rejected configuration too.
+    for sweep in ("4,2", "0,2", "2,2"):
+        assert main(["--sweep", sweep, "--beta", "2", "--trials", "2", "--sample-size", "2"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 5
     assert setter_calls == []
     assert main([*TINY_POINT, "--out", str(tmp_path / "ok.csv")]) == 0
     assert setter_calls == [1]

@@ -507,6 +507,22 @@ def test_achievable_rate_rejects_bad_rank():
         _destination_rate(r, 0, 2, p, derive_rng(0))
 
 
+def test_rate_needs_one_generator_per_destination():
+    # Channels past the last generator used to come back as whatever the
+    # log-det buffer held: rates of 0.0, or means such as 1.7e-263.
+    p = NetworkParams(m=3, beta=1.0, trials=4)
+    r = realization_from_positions(np.array([[0.2, 0.2], [0.3, 0.3], [0.4, 0.1]]), grid_side=1)
+    rng = derive_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        achievable_rate(r, 0, np.arange(3), p, [rng], _timings())
+    with pytest.raises(ValueError):
+        ergodic_logdet([np.ones(2)] * 3, 2, 4, [rng], _timings())
+    with pytest.raises(ValueError):
+        ergodic_logdet([np.ones(2)], 2, 4, [rng, derive_rng(1)], _timings())
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # constraint system
 # ---------------------------------------------------------------------------
