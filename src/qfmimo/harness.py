@@ -27,7 +27,6 @@ import ctypes
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
@@ -332,13 +331,16 @@ def run_sweep(params: NetworkParams, m_list: Iterable[int], workers: int = 1) ->
     m_list = check_sweep(m_list)
     rows: list[SweepRow] = []
     parallel = workers > 1 and len(m_list) > 1
-    executor = (
-        ProcessPoolExecutor(
+    if parallel:
+        # Imported here: the pool brings in multiprocessing, which a serial
+        # sweep never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(
             max_workers=min(workers, len(m_list)), initializer=partial(_init_worker, np.geterr())
         )
-        if parallel
-        else nullcontext()
-    )
+    else:
+        executor = nullcontext()
     with executor as pool:
         points = (pool.map if parallel else map)(_run_point_row, [(params, m) for m in m_list])
         try:

@@ -315,7 +315,10 @@ def _group(
     ]
     if any(p.size for p in pairs):
         first = np.concatenate(pairs)
-        tied = np.union1d(first, first + 1)
+        # The positions p and p + 1 of every pair, sorted and without repeats.
+        tied = np.concatenate((first, first + 1))
+        tied.sort()
+        tied = tied[np.concatenate(([True], tied[1:] != tied[:-1]))]
         # Tied positions can hold runs of two cells side by side, so the
         # cell and prefix bits stay the primary sort key of the repair.
         runs = key[tied]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 import os
@@ -244,7 +245,7 @@ def test_sweep_pool_capped_at_point_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     p = NetworkParams(beta=2.0, seed=13, **FAST)
     serial = [r.to_csv() for r in run_sweep(p, [2, 3, 4])]
     assert pool_sizes == []
@@ -547,6 +548,27 @@ def test_cli_numerical_failure_prints_only_its_error(tmp_path, flags):
     assert line.startswith("error: ")
 
 
+def test_serial_runs_load_neither_the_process_pool_nor_numpy_ma():
+    # A fresh process that runs a point, a serial sweep and a tie repair of
+    # the grouping keys imports neither the process pool (multiprocessing)
+    # nor numpy.ma: only a parallel sweep needs the first, nothing the second.
+    code = """
+import sys
+import qfmimo
+p = qfmimo.NetworkParams(m=2, beta=2.0, seed=1, trials=4, sample_size=2)
+qfmimo.run_point(p)
+qfmimo.run_sweep(p, [2, 3])
+r = qfmimo.realization_from_positions([(0.2, 0.3), (0.7, 0.9), (0.2, 0.3)], grid_side=2)
+assert sorted(g.tolist() for g in r.group_members) == [[0, 2], [1]]
+print(*sorted({"multiprocessing", "concurrent.futures.process", "numpy.ma"} & set(sys.modules)))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 def test_cli_logs_stage_timings_outside_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     argv = ["--sweep", "2,3", "--beta", "2", "--seed", "5", "--out", str(out),
@@ -793,7 +815,7 @@ def test_sweep_pool_initializer_pins_blas_in_each_worker(setter_calls, monkeypat
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     p = NetworkParams(m=2, beta=2.0, seed=4, **FAST)
     run_sweep(p, [2, 3], workers=2)
     assert setter_calls == [1, 1]
