@@ -140,7 +140,6 @@ class NetworkRealization:
     every destination's, block by block into one reused buffer.
     """
 
-    source_pos: np.ndarray
     dest_pos: np.ndarray
     grid_side: int
     group_members: list[np.ndarray]
@@ -166,7 +165,7 @@ class NetworkRealization:
     def group_distances(self, k: int) -> np.ndarray:
         """Source distances of group k's members, ascending, recomputed from
         their positions."""
-        return _source_dist(self.dest_pos[self.group_members[k]], self.source_pos)
+        return _source_dist(self.dest_pos[self.group_members[k]])
 
     def source_distances(self) -> Iterator[np.ndarray]:
         """Every destination's source distance, in index order, as blocks of
@@ -181,7 +180,7 @@ class NetworkRealization:
         for lo in range(0, self.n, rows):
             hi = min(lo + rows, self.n)
             dist, squares = buf[:, :hi - lo]
-            yield _source_dist(self.dest_pos[lo:hi], self.source_pos, out=dist, squares=squares)
+            yield _source_dist(self.dest_pos[lo:hi], out=dist, squares=squares)
 
     def groups_of(self, dests: np.ndarray) -> np.ndarray:
         """Group ids of destination indices dests: each one's cell counted
@@ -204,19 +203,13 @@ def partition_cells(n: int, q: float) -> int:
     return max(1, round(n ** (q / 2.0)))
 
 
-def realization_from_positions(
-    dest_pos: np.ndarray,
-    grid_side: int,
-    source_pos: tuple[float, float] = SOURCE_POS,
-) -> NetworkRealization:
+def realization_from_positions(dest_pos: np.ndarray, grid_side: int) -> NetworkRealization:
     """Build the grid/group bookkeeping for explicitly given positions.
 
-    Destinations must be finite and lie in the unit square, grid_side must be
-    a positive integer, and the source may lie anywhere its distances to the
-    square's corners stay finite; anything else raises ValueError.
+    Destinations must be finite and lie in the unit square, and grid_side
+    must be a positive integer; anything else raises ValueError.
     """
     dest_pos = np.asarray(dest_pos, dtype=float).reshape(-1, 2)
-    src = np.asarray(source_pos, dtype=float)
     n = dest_pos.shape[0]
     if not isinstance(grid_side, (int, np.integer)) or isinstance(grid_side, bool):
         raise ValueError(f"grid_side must be an integer, got {grid_side!r}")
@@ -226,22 +219,14 @@ def realization_from_positions(
     # min/max propagate NaN, so this also rejects non-finite coordinates.
     if not (dest_pos.min() >= 0.0 and dest_pos.max() <= 1.0):
         raise ValueError("destination coordinates must be finite and lie in [0, 1]")
-    with np.errstate(over="ignore"):
-        high = _corner_distance(src)
-    # NaN and inf propagate to the corners; a finite source so far away that
-    # its distances overflow (beyond about 1e154) is rejected as well.
-    if not math.isfinite(high):
-        raise ValueError(
-            f"source position must be finite with finite distances, got {tuple(src.tolist())}"
-        )
-    fields = _key_fields(n, g, high)
+    fields = _key_fields(n, g)
     key = np.empty(n, dtype=np.uint64)
     dist = np.empty(min(n, _CHUNK))
     for s in _chunks(n):
         index = np.arange(s.start, s.stop, dtype=np.uint64)
-        _pack_keys(dest_pos[s], src, index, fields, key[s], dist[: s.stop - s.start])
+        _pack_keys(dest_pos[s], index, fields, key[s], dist[: s.stop - s.start])
     del index, dist  # free the chunk scratch before grouping
-    return _group(dest_pos, src, key, fields)
+    return _group(dest_pos, key, fields)
 
 
 class _KeyFields(NamedTuple):
@@ -260,8 +245,8 @@ class _KeyFields(NamedTuple):
     shift: int
 
 
-def _key_fields(n: int, g: int, high: float) -> _KeyFields:
-    """Key layout for n points on a g x g grid at distances in [0, high].
+def _key_fields(n: int, g: int) -> _KeyFields:
+    """Key layout for n points on a g x g grid at distances in [0, _FARTHEST].
 
     The bound is known before any point is drawn, so every chunk can write
     its keys as soon as it has its distances, and no distance's prefix
@@ -269,13 +254,12 @@ def _key_fields(n: int, g: int, high: float) -> _KeyFields:
     """
     index_bits = max(1, (n - 1).bit_length())
     dist_bits = 64 - index_bits - max(1, (g * g - 1).bit_length())
-    shift = max(0, int(np.float64(high).view(np.uint64)).bit_length() - dist_bits)
+    shift = max(0, int(np.float64(_FARTHEST).view(np.uint64)).bit_length() - dist_bits)
     return _KeyFields(g, index_bits, dist_bits, shift)
 
 
 def _pack_keys(
     pos: np.ndarray,
-    src: np.ndarray,
     index: np.ndarray,
     fields: _KeyFields,
     out: np.ndarray,
@@ -287,7 +271,7 @@ def _pack_keys(
     returned, for the caller's disk check.
     """
     # The keys are not written yet, so out holds the squares.
-    _source_dist(pos, src, out=dist, squares=out.view(np.float64))
+    _source_dist(pos, out=dist, squares=out.view(np.float64))
     part = _cell_ids(pos, fields.g, out=out)
     part <<= fields.dist_bits
     part |= dist.view(np.uint64) >> fields.shift
@@ -296,9 +280,7 @@ def _pack_keys(
     return dist
 
 
-def _group(
-    dest_pos: np.ndarray, src: np.ndarray, key: np.ndarray, fields: _KeyFields
-) -> NetworkRealization:
+def _group(dest_pos: np.ndarray, key: np.ndarray, fields: _KeyFields) -> NetworkRealization:
     """Grid/group bookkeeping for checked positions and their packed keys."""
     n, g = dest_pos.shape[0], fields.g
     # One in-place sort of the keys gives the (cell, distance, index) order,
@@ -322,7 +304,7 @@ def _group(
         # Tied positions can hold runs of two cells side by side, so the
         # cell and prefix bits stay the primary sort key of the repair.
         runs = key[tied]
-        dist = _source_dist(dest_pos[(runs & mask).view(np.intp)], src)
+        dist = _source_dist(dest_pos[(runs & mask).view(np.intp)])
         key[tied] = runs[np.lexsort((runs, dist, runs >> index_bits))]
     # Cell c's destinations start at the first key whose cell bits reach c;
     # the low bits of the sorted keys are then the permutation.
@@ -335,7 +317,6 @@ def _group(
     order = key.view(np.intp)
 
     return NetworkRealization(
-        source_pos=src,
         dest_pos=dest_pos,
         grid_side=g,
         group_members=np.split(order, cell_start[occupied[1:]]),
@@ -371,9 +352,8 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
     """
     n = params.n
     g = partition_cells(n, params.q)
-    src = np.asarray(SOURCE_POS, dtype=float)
     r = params.exclusion_radius
-    fields = _key_fields(n, g, _corner_distance(src))
+    fields = _key_fields(n, g)
     pos = np.empty((n, 2))
     key = np.empty(n, dtype=np.uint64)
     dist = np.empty(min(n, _CHUNK))
@@ -382,7 +362,7 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
     for s in _chunks(n):
         rng.random(out=pos[s])
         index = np.arange(s.start, s.stop, dtype=np.uint64)
-        d = _pack_keys(pos[s], src, index, fields, key[s], dist[: s.stop - s.start])
+        d = _pack_keys(pos[s], index, fields, key[s], dist[: s.stop - s.start])
         if r > 0.0:
             inside.append(s.start + np.flatnonzero(d <= r))
     # Only redrawn points can land inside again, so each pass redraws,
@@ -396,13 +376,13 @@ def place_nodes(params: NetworkParams, rng: np.random.Generator) -> NetworkReali
             drawn = rng.random((rows.size, 2))
             pos[rows] = drawn
             keys = np.empty(rows.size, dtype=np.uint64)
-            d = _pack_keys(drawn, src, rows.view(np.uint64), fields, keys, dist[: rows.size])
+            d = _pack_keys(drawn, rows.view(np.uint64), fields, keys, dist[: rows.size])
             key[rows] = keys
             inside.append(rows[d <= r])
         redo = np.concatenate(inside)
     del index, d, dist  # free the chunk scratch before grouping
     # Uniform draws lie in [0, 1), so the coordinate check is not needed.
-    return _group(pos, src, key, fields)
+    return _group(pos, key, fields)
 
 
 def _chunks(n: int) -> list[slice]:
@@ -411,32 +391,25 @@ def _chunks(n: int) -> list[slice]:
 
 
 def _source_dist(
-    pos: np.ndarray,
-    src: np.ndarray,
-    out: np.ndarray | None = None,
-    squares: np.ndarray | None = None,
+    pos: np.ndarray, out: np.ndarray | None = None, squares: np.ndarray | None = None
 ) -> np.ndarray:
-    """Row distances to src, bitwise equal to norm(pos - src, axis=1).
+    """Row distances to the source, bitwise equal to norm(pos - SOURCE_POS, axis=1).
 
     One pass computes them in out, with the squared y offsets in squares;
     either is a new array unless the caller lends scratch of pos's length.
     """
-    d = np.subtract(pos[:, 0], src[0], out=out)
+    d = np.subtract(pos[:, 0], SOURCE_POS[0], out=out)
     d *= d
-    dy = np.subtract(pos[:, 1], src[1], out=squares)
+    dy = np.subtract(pos[:, 1], SOURCE_POS[1], out=squares)
     dy *= dy
     d += dy
     return np.sqrt(d, out=d)
 
 
-def _corner_distance(src: np.ndarray) -> float:
-    """Largest computed distance from src to a corner of the unit square.
-
-    Rounding is monotone and each coordinate difference is largest in
-    magnitude at a corner, so no point of the square is computed farther.
-    """
-    corners = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
-    return float(_source_dist(corners, src).max())
+# Largest computed source distance of a point of the unit square: rounding
+# is monotone and each coordinate offset is largest in magnitude at a
+# corner, and the centered source is equally far from all four.
+_FARTHEST = float(_source_dist(np.zeros((1, 2)))[0])
 
 
 def cell_occupancy_stats(realization: NetworkRealization) -> tuple[int, int, float]:

@@ -33,17 +33,19 @@ angle x < 2 pi / 4096, taken as the Taylor polynomials 1 - x**2/2 + x**4/24
 and x - x**3/6, is faster; it is equal to a complex exp within 2e-15.  Both
 take one uniform per entry in C order, so the random stream does not depend
 on the kernel, but the phases' last bits do.  The draws are mapped in pieces
-of at most 2**14 entries through a set of scratch arrays, and written into a
-caller-owned output buffer when one is given.  The draws are unit phases
-only; the row scales enter where the Gram matrix is formed.
+of at most 2**14 entries through the kernel's scratch arrays, which a caller
+may lend, and written into a caller-owned output buffer when one is given.
+The draws are unit phases only; the row scales enter where the Gram matrix
+is formed.
 
 The log-det kernel takes one row-scale vector per channel, of any length,
 and draws unit phases Th in blocks of trials of about 8192 phase entries,
-into one phase buffer and one scratch set per channel.  Consecutive blocks
-write their Gram matrices into one buffer spanning about 8192 Gram entries
-of trials, and each span gets one diagonal add and one slogdet, so the
-working set stays in cache, and memory grows with the trial count only by
-one float log-det per trial and channel.  The Gram form is chosen for
+into one phase buffer per channel, through one scratch set per call that
+all its channels share.  Consecutive blocks write their Gram matrices into
+one buffer spanning about 8192 Gram entries of trials, and each span gets
+one diagonal add and one slogdet, so the working set stays in cache, and
+memory grows with the trial count only by one float log-det per trial and
+channel.  The Gram form is chosen for
 OpenBLAS on one thread, as the CLI, its sweep workers and the scaling script
 run it (harness._one_blas_thread): a tall channel (more rows than antennas)
 of more than 2**19 complex multiply-adds per trial scales the interleaved
@@ -142,6 +144,9 @@ _REAL_FORM_MACS = 2**19
 # Largest eps * m * sum(row_scale**2) for which the tall Gram S'S keeps the
 # log-det accurate; beyond it roundoff swamps the small eigenvalues.
 _TALL_GRAM_LIMIT = 1e-3
+
+# Relative slack of check_rate_constraints's comparisons, for float roundoff.
+_CONSTRAINT_RTOL = 1e-9
 
 # Entries one destination batch of sum_rate may hold per (J, n2) matrix of
 # capacities or noises, and in tdma in its interference distances (at most
@@ -276,18 +281,24 @@ def _gram(s: np.ndarray, g: np.ndarray, weight: np.ndarray, conj: np.ndarray | N
         np.matmul(s, c.swapaxes(-1, -2), out=g)
 
 
+def _block_trials(rows: int, m: int, trials: int) -> int:
+    """Trials per phase block of a channel of `rows` rows (at least one)."""
+    return max(1, min(trials, _BLOCK_ENTRIES // max(1, rows * m)))
+
+
 def _channel_logdets(
-    scale: np.ndarray, m: int, gen: np.random.Generator, out: np.ndarray
+    scale: np.ndarray, m: int, gen: np.random.Generator, out: np.ndarray, scratch: _PhaseScratch
 ) -> float:
     """Write one channel's natural log-dets into `out`, one per trial.
 
     Returns the seconds spent drawing phases.  The channel's buffers live
-    only for this call, so a batch holds one channel's at a time.
+    only for this call, so a batch holds one channel's at a time; the phase
+    kernel's `scratch` is the caller's, shared by the batch.
     """
     trials = out.size
     rows = scale.size
     k = min(rows, m)
-    block = max(1, min(trials, _BLOCK_ENTRIES // max(1, rows * m)))
+    block = _block_trials(rows, m, trials)
     # Never shorter than a block, since k * k <= rows * m.
     span = max(1, min(trials, _BLOCK_ENTRIES // max(1, k * k)))
     phases = np.empty((block, rows, m), dtype=complex)
@@ -298,7 +309,6 @@ def _channel_logdets(
         # turns Th into D**2 conj(Th).
         weight, conj = np.outer(scale * scale, np.tile([1.0, -1.0], m)), np.empty_like(phases)
     gram = np.empty((span, k, k), dtype=complex)
-    scratch = _PhaseScratch(phases.size)
     drawing = 0.0
     for lo in range(0, trials, span):
         hi = min(lo + span, trials)
@@ -348,8 +358,14 @@ def ergodic_logdet(
                 f"large for an accurate {m}x{m} Gram log-det"
             )
     vals = np.empty((len(row_scales), trials))
+    # One scratch set for every channel, sized for the largest block: one
+    # set per channel would be freed and faulted back in channel by channel.
+    scratch = _PhaseScratch(
+        max((_block_trials(s.size, m, trials) * s.size * m for s in row_scales), default=0)
+    )
     drawing = sum(
-        _channel_logdets(scale, m, gen, out) for out, scale, gen in zip(vals, row_scales, rngs)
+        _channel_logdets(scale, m, gen, out, scratch)
+        for out, scale, gen in zip(vals, row_scales, rngs)
     )
     vals /= _LOG2
     mean = vals.mean(axis=-1)
@@ -548,7 +564,6 @@ def check_rate_constraints(
     delta: float,
     n: int,
     n2: int,
-    rtol: float = 1e-9,
 ) -> bool:
     """Validate the quantize-and-forward rate-constraint system.
 
@@ -556,7 +571,7 @@ def check_rate_constraints(
         r_q[i] <= (1-delta)/(4 n2) * c[i]          (link budget)
         r_q[i] >= (delta/n) * mi_quantize[i]       (quantizer fidelity)
     and r <= (delta/n) * mi_decode                 (decoder).
-    Comparisons allow a small relative slack rtol for float roundoff; an
+    Comparisons allow a relative slack _CONSTRAINT_RTOL for float roundoff; an
     infinite bound is satisfied by any value, an infinite left side only by
     an infinite bound.
     """
@@ -571,7 +586,7 @@ def check_rate_constraints(
     fmax = np.finfo(float).max
 
     def slack(bound: np.ndarray) -> np.ndarray:
-        return rtol * (1.0 + np.minimum(np.abs(bound), fmax))
+        return _CONSTRAINT_RTOL * (1.0 + np.minimum(np.abs(bound), fmax))
 
     upper = (1.0 - delta) / (4.0 * n2) * c
     lower = (delta / n) * mi_quantize

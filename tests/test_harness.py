@@ -116,8 +116,8 @@ def test_clipped_one_member_group_sets_the_exact_minimum():
     # Rows of the grid run along y and columns along x (netgeom._cell_ids).
     row, col = r.group_cells[worst.group]
     lo = np.array([col, row]) / r.grid_side
-    nearest = np.clip(r.source_pos, lo, lo + 1.0 / r.grid_side)
-    assert np.hypot(*(nearest - r.source_pos)) < p.exclusion_radius
+    nearest = np.clip(netgeom.SOURCE_POS, lo, lo + 1.0 / r.grid_side)
+    assert np.hypot(*(nearest - netgeom.SOURCE_POS)) < p.exclusion_radius
     sampled = run_point(replace(p, sample_size=30)).report
     assert sampled.r_sum == pytest.approx(5.570164736396689, rel=1e-12, abs=0.0)
 

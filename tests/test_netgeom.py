@@ -85,7 +85,7 @@ def test_single_destination_layout():
     assert r.n == 1
     assert r.n1 == 1
     assert np.all((r.dest_pos >= 0.0) & (r.dest_pos <= 1.0))
-    assert tuple(r.source_pos) == (0.5, 0.5)
+    assert netgeom.SOURCE_POS == (0.5, 0.5)
 
 
 def test_mean_position_near_center():
@@ -143,11 +143,10 @@ def test_source_dist_blocks_match_norm(n, scratch):
     # Sizes from one row to just past a chunk, with new arrays for the
     # squares or with scratch lent for them; either way one pass.
     pos = np.random.default_rng(n).random((n, 2))
-    src = np.array([0.3, 0.7])
     out = np.full(n, np.nan)
     squares = np.empty(n) if scratch else None
-    assert netgeom._source_dist(pos, src, out=out, squares=squares) is out
-    assert np.array_equal(out, np.linalg.norm(pos - src, axis=1))
+    assert netgeom._source_dist(pos, out=out, squares=squares) is out
+    assert np.array_equal(out, np.linalg.norm(pos - netgeom.SOURCE_POS, axis=1))
 
 
 def test_boundary_point_folds_into_last_cell():
@@ -273,16 +272,6 @@ def test_positions_outside_unit_square_rejected(pos):
         realization_from_positions(np.array(pos), grid_side=2)
 
 
-@pytest.mark.parametrize(
-    "source",
-    [(float("nan"), 0.5), (float("inf"), 0.5), (0.5, float("-inf")), (1e200, 0.5)],
-    ids=["nan", "inf", "minus_inf", "distances_overflow"],
-)
-def test_non_finite_source_rejected(source):
-    with pytest.raises(ValueError, match="source position must be finite"):
-        realization_from_positions(np.array([(0.3, 0.3)]), grid_side=2, source_pos=source)
-
-
 def _scan_group_members(r):
     """Every destination's group and rank, read off group_members."""
     group = np.empty(r.n, dtype=int)
@@ -295,7 +284,7 @@ def _scan_group_members(r):
 
 def _norm_dist(r):
     """Every destination's source distance, from np.linalg.norm."""
-    return np.linalg.norm(r.dest_pos - r.source_pos, axis=1)
+    return np.linalg.norm(r.dest_pos - netgeom.SOURCE_POS, axis=1)
 
 
 def _assert_lexsort_grouping(r):
@@ -354,16 +343,24 @@ def test_destination_at_the_source_keeps_sub_ulp_ray_ordered():
 
 
 def test_distances_straddling_one_half_stay_ordered():
-    # From a source on the left edge, (d, 0.5) is exactly d away.  The bit
-    # patterns of 0.5 - ulp, 0.5 and 0.5 + ulp are adjacent across the
-    # exponent step at 0.5; they are listed in reverse index order, and a
-    # destination at the source makes their prefixes tie.
+    # The bit patterns of 0.5 - ulp, 0.5 and 0.5 + ulp are adjacent across
+    # the exponent step at 0.5.  In cell (0, 1) of a 2 x 2 grid, (0.5, 2**-54)
+    # lies at 0.5 - ulp, (0.5, 0) at 0.5, and a point of the edge x = 1
+    # just below y = 0.5 at 0.5 + ulp.  They are listed farthest first, and
+    # the last two tie in the distance prefix.
     ds = np.array([np.nextafter(0.5, 1.0), 0.5, np.nextafter(0.5, 0.0)])
-    pos = np.concatenate([_lattice(4), np.stack([ds, np.full(3, 0.5)], axis=-1), [(0.0, 0.5)]])
-    r = realization_from_positions(pos, grid_side=2, source_pos=(0.0, 0.5))
+    ys = 0.5 - np.arange(64) * 2.0**-30
+    edge = np.stack([np.ones(64), ys], axis=-1)
+    hits = ys[np.linalg.norm(edge - netgeom.SOURCE_POS, axis=1) == ds[0]]
+    assert hits.size
+    pos = np.concatenate([_lattice(4), [(1.0, hits[0]), (0.5, 0.0), (0.5, 2.0**-54)]])
+    r = realization_from_positions(pos, grid_side=2)
     dist = _norm_dist(r)
-    assert np.array_equal(dist[16:19], ds)
-    assert dist[19] == 0.0
+    assert np.array_equal(dist[16:], ds)
+    assert r.group_cells[1] == (0, 1)
+    assert np.all(r.groups_of(np.arange(16, 19)) == 1)
+    prefix = ds.view(np.uint64) >> np.uint64(netgeom._key_fields(r.n, 2).shift)
+    assert prefix[0] == prefix[1] != prefix[2]
     _assert_lexsort_grouping(r)
 
 
@@ -376,23 +373,6 @@ def test_tied_runs_meeting_at_a_group_boundary_keep_group_order():
     r = realization_from_positions(np.array(pos), grid_side=2)
     assert r.group_cells == [(0, 0), (1, 0), (1, 1)]
     assert [m.tolist() for m in r.group_members] == [[4], [1, 0], [2, 3]]
-    _assert_lexsort_grouping(r)
-
-
-@pytest.mark.parametrize("source", [(0.0, 0.0), (-1.0, 2.0), (40.0, -30.0)])
-def test_grouping_with_distances_beyond_one(source):
-    # From the corner, distances reach sqrt(2).  From (-1, 2), (0.99, 0.01)
-    # in group 1 of the 2 x 2 grid is 1.39 farther than (0.01, 0.99) in
-    # group 2, so the group bits of the sort key must outrank the distance
-    # prefix.  From (40, -30) every distance is near 50.
-    rng = np.random.default_rng(11)
-    pos = np.concatenate([
-        rng.random((3000, 2)),
-        rng.integers(0, 9, size=(1000, 2)) / 8,
-        [(0.99, 0.01), (0.01, 0.99)],
-    ])
-    r = realization_from_positions(pos, grid_side=2, source_pos=source)
-    assert _norm_dist(r).max() > 1.0
     _assert_lexsort_grouping(r)
 
 
@@ -420,7 +400,7 @@ def test_rejection_loop_matches_full_recheck(seed, radius):
     assert np.array_equal(r.dest_pos, ref)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     # Distances recomputed from the redrawn positions equal a fresh computation.
-    _assert_group_distances(r, np.linalg.norm(ref - r.source_pos, axis=1))
+    _assert_group_distances(r, np.linalg.norm(ref - netgeom.SOURCE_POS, axis=1))
 
 
 @pytest.mark.parametrize("side", [20, 300])
@@ -434,7 +414,7 @@ def test_group_ids_wide_enough_and_exact_distances(side):
     assert np.array_equal(r.groups_of(np.arange(n)), np.arange(n))
     assert all(members.tolist() == [k] for k, members in enumerate(r.group_members))
     assert np.array_equal(np.sort(np.concatenate(r.group_members)), np.arange(n))
-    _assert_group_distances(r, np.linalg.norm(pos - r.source_pos, axis=1))
+    _assert_group_distances(r, np.linalg.norm(pos - netgeom.SOURCE_POS, axis=1))
 
 
 @pytest.mark.parametrize("size", [256, 257])
@@ -477,7 +457,7 @@ SMALL_CHUNK = 101
 
 def _assert_same_realization(a, b):
     """Every array (values and dtypes) and every group list agree."""
-    for name in ("source_pos", "dest_pos", "cell_counts"):
+    for name in ("dest_pos", "cell_counts"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
         assert np.array_equal(x, y), name
@@ -676,7 +656,7 @@ def test_place_nodes_repairs_ties_at_scale(seed):
     cells = rows * g + cols
     order = np.lexsort((np.arange(r.n), dist, cells))
     assert np.array_equal(np.concatenate(r.group_members), order)
-    fields = netgeom._key_fields(r.n, g, netgeom._corner_distance(r.source_pos))
+    fields = netgeom._key_fields(r.n, g)
     prefix = dist[order].view(np.uint64) >> np.uint64(fields.shift)
     cells = cells[order]
     tied = (cells[1:] == cells[:-1]) & (prefix[1:] == prefix[:-1])

@@ -273,6 +273,23 @@ def test_logdet_takes_one_slogdet_per_span(monkeypatch, rows):
     assert calls == [(8, 32, 32)] * 12 + [(4, 32, 32)]
 
 
+def test_logdet_builds_one_phase_scratch_per_call(monkeypatch):
+    # 40 channels of 1 to 40 rows share one scratch set, sized for the
+    # largest block (8 trials of 40 x 8 entries); a set per channel would
+    # be freed and faulted back in channel after channel.
+    sizes = []
+    scratch = qmimo._PhaseScratch
+
+    def spy(entries):
+        sizes.append(entries)
+        return scratch(entries)
+
+    monkeypatch.setattr(qmimo, "_PhaseScratch", spy)
+    row_scales = [np.full(rows, 0.5) for rows in range(1, 41)]
+    ergodic_logdet(row_scales, 8, 8, [derive_rng(r) for r in range(40)], _timings())
+    assert sizes == [8 * 40 * 8]
+
+
 def test_logdet_memory_independent_of_trials():
     # Phases and Gram matrices live one block at a time; only the float
     # log-det of each trial (8 bytes) scales with the trial count.
