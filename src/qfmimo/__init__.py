@@ -13,7 +13,6 @@ the antenna count to measure scaling behavior.
 from .bounds import (
     UpperBoundReport,
     cutset_upper_bound,
-    lozano_regime_value,
     mimo_ergodic_capacity_mc,
 )
 from .harness import (
@@ -89,7 +88,6 @@ __all__ = [
     "fit_scaling",
     "hier_capacity",
     "link_capacity",
-    "lozano_regime_value",
     "mimo_ergodic_capacity_mc",
     "min_source_distance",
     "noise_profile",

@@ -1,4 +1,4 @@
-"""Upper bounds and random-matrix capacity oracles.
+"""Upper bounds and the Monte Carlo ergodic capacity.
 
 The cut-set bound treats all destinations as one cooperative receiver of the
 source's m-antenna MIMO channel.  Two branches apply depending on whether
@@ -9,8 +9,9 @@ NetworkRealization.source_distances and sum one block at a time: the bound
 needs one reused block of terms, not an n-sized column of distances or path
 gains (16 MiB each at n = 2**21).  Beyond half a chunk the partial sums are
 added in block order, so the result can differ from a single numpy sum in
-its last bits.  The Monte Carlo ergodic capacity and the three closed-form
-aspect-ratio regimes serve as mutual oracles for the acceptance suite.
+its last bits.  The Monte Carlo ergodic capacity of an i.i.d. phase-faded
+channel is the acceptance suite's check on the shared log-det kernel, against
+closed forms; qmimo.de_logdet is the finite-size oracle for any row profile.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ import numpy as np
 
 from .netgeom import NetworkParams, NetworkRealization
 from .qmimo import ergodic_logdet
-
-REGIME_A_INF = "a_to_inf"
-REGIME_A_ONE = "a_to_1"
-REGIME_A_ZERO = "a_to_0"
-REGIMES = (REGIME_A_INF, REGIME_A_ONE, REGIME_A_ZERO)
-
 
 @dataclass(frozen=True)
 class UpperBoundReport:
@@ -79,27 +74,3 @@ def mimo_ergodic_capacity_mc(
     scale = np.full(n_rx, math.sqrt(p / m))
     mean, stderr = ergodic_logdet([scale], m, trials, [rng], {"phase": 0.0, "gram": 0.0})
     return float(mean[0]), float(stderr[0])
-
-
-def lozano_regime_value(regime: str, p: float, a: float | None = None) -> float:
-    """Closed-form per-receive-antenna ergodic capacity in a limit regime.
-
-    a = (transmit antennas) / (receive antennas).  Wide arrays (a -> inf)
-    give log2(1 + p); square arrays (a -> 1) the fixed-point expression
-    below; tall arrays (a -> 0) the leading term a * log2(p / a), evaluated
-    at an explicitly supplied small a (the O(a) remainder is dropped).
-    """
-    if not p > 0:
-        raise ValueError(f"p must be > 0, got {p}")
-    if regime == REGIME_A_INF:
-        return math.log2(1.0 + p)
-    if regime == REGIME_A_ONE:
-        root = math.sqrt(1.0 + 4.0 * p)
-        return 2.0 * math.log2((1.0 + root) / 2.0) - (
-            math.log2(math.e) / (4.0 * p)
-        ) * (root - 1.0) ** 2
-    if regime == REGIME_A_ZERO:
-        if a is None or not a > 0:
-            raise ValueError("the a_to_0 regime needs an explicit a > 0")
-        return a * math.log2(p / a)
-    raise ValueError(f"unknown regime {regime!r}, expected one of {REGIMES}")

@@ -16,7 +16,9 @@ with G the diagonal of path-loss ratios, Th the unit-modulus phase matrix and
 Q = diag(1 + N_i).  A destination's own observation is unquantized (N = 0);
 a useless link (C <= 0) removes its relay from the determinant entirely.
 The phase draws and the ergodic log-det kernel here also serve the cut-set
-module's Monte Carlo capacity oracle.
+module's Monte Carlo capacity oracle.  de_logdet, a deterministic equivalent
+of the same log-det, is the finite-size oracle the kernel is checked against;
+no rate calls it.
 
 The rate layer takes batches only.  sum_rate rates its sample one group at a
 time, so achievable_rate, noise_profile, quantized_mimo_rate and
@@ -373,6 +375,47 @@ def ergodic_logdet(
     timings["phase"] += drawing
     timings["gram"] += perf_counter() - start - drawing
     return mean, stderr
+
+
+def de_logdet(row_scales: Sequence[np.ndarray], m: int) -> np.ndarray:
+    """Deterministic equivalent of E log2 det(I + S S'), one per channel.
+
+    The finite-size oracle of ergodic_logdet, for the same row scales s and
+    S = diag(s) Th.  With d = s**2, t solves t = 1 / (1 + sum_i d_i t_i),
+    t_i = 1 / (1 + m d_i t), and in nats
+
+        C = sum_i log(1 + m d_i t) + m log(1 + sum_i d_i t_i)
+            - m t sum_i d_i t_i + (m/2) t**2 sum_i d_i**2 t_i**2.
+
+    The first three terms are the limit for Gaussian entries with a row
+    variance profile (Hachem, Loubaton and Najim, Ann. Appl. Probab. 2007);
+    the last corrects it for unit-modulus phases, whose fourth cumulant
+    E|th|**4 - 2 is -1.  t is the root of the increasing, concave
+    g(x) = x (1 + sum_i d_i / (1 + m d_i x)) = 1, so Newton's method from
+    x = 0 rises monotonically to it; each channel's x stops when it stops
+    rising.  The channels are solved together in one (J, max rows) matrix of
+    d, each padded with d = 0, which adds nothing to any sum.  Returns a (J,)
+    array; a channel of no rows gives 0.
+    """
+    d = np.zeros((len(row_scales), max((s.size for s in row_scales), default=0)))
+    for row, scale in zip(d, row_scales):
+        row[: scale.size] = scale * scale
+    md = m * d
+    x = np.zeros(len(d))
+    while True:
+        t = 1.0 / (1.0 + md * x[:, None])
+        du = d * t
+        sum_du = du.sum(axis=1)
+        nxt = x + (1.0 - x * (1.0 + sum_du)) / (1.0 + (du * t).sum(axis=1))
+        rising = nxt > x
+        if not rising.any():
+            break
+        x = np.where(rising, nxt, x)
+    nats = (
+        np.log1p(md * x[:, None]).sum(axis=1) + m * np.log1p(sum_du) - m * x * sum_du
+        + 0.5 * m * x * x * (du * du).sum(axis=1)
+    )
+    return nats / _LOG2
 
 
 def received_power(

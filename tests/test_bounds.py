@@ -8,7 +8,6 @@ from qfmimo import (
     NetworkParams,
     cutset_upper_bound,
     derive_rng,
-    lozano_regime_value,
     mimo_ergodic_capacity_mc,
     netgeom,
     place_nodes,
@@ -110,24 +109,3 @@ def test_mc_capacity_rejects_bad_input():
                  (4, 4, 1.0, math.nan)):
         with pytest.raises(ValueError):
             mimo_ergodic_capacity_mc(*args, derive_rng(0))
-
-
-def test_regime_values():
-    assert lozano_regime_value("a_to_inf", 3.0) == pytest.approx(2.0)
-    assert lozano_regime_value("a_to_1", 1.0) == pytest.approx(0.83742335704257, rel=1e-10)
-    assert lozano_regime_value("a_to_0", 1.0, a=0.01) == pytest.approx(
-        0.01 * math.log2(100.0)
-    )
-
-
-def test_regime_errors():
-    with pytest.raises(ValueError):
-        lozano_regime_value("sideways", 1.0)
-    with pytest.raises(ValueError):
-        lozano_regime_value("a_to_0", 1.0)  # needs an explicit a
-    with pytest.raises(ValueError):
-        lozano_regime_value("a_to_1", 0.0)
-    with pytest.raises(ValueError):
-        lozano_regime_value("a_to_inf", math.nan)
-    with pytest.raises(ValueError):
-        lozano_regime_value("a_to_0", 1.0, a=math.nan)

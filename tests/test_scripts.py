@@ -20,9 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
          "--trials", "4", "--sample-size", "2"],
         ["scaling_experiment.py", "--mode", "hier", "--m", "2,3,4", "--beta", "2",
          "--trials", "4", "--sample-size", "2"],
-        ["capacity_oracles.py", "2"],
     ],
-    ids=["scaling_experiment.py-tdma", "scaling_experiment.py-hier", "capacity_oracles.py"],
+    ids=["scaling_experiment.py-tdma", "scaling_experiment.py-hier"],
 )
 def test_experiment_script_runs(argv):
     done = subprocess.run(
@@ -49,21 +48,6 @@ def test_scaling_experiment_rejects_m_below_2(m):
     assert done.stdout == ""
     (err,) = [ln for ln in done.stderr.splitlines() if "error" in ln]
     assert err.startswith("scaling_experiment.py: error: argument --m:")
-    assert "Traceback" not in done.stderr
-
-
-@pytest.mark.parametrize("trials", ["0", "-5", "x"])
-def test_capacity_oracles_rejects_a_bad_trial_count(trials):
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "capacity_oracles.py"), trials],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 2
-    assert done.stdout == ""
-    (err,) = [ln for ln in done.stderr.splitlines() if "error" in ln]
-    assert err.startswith("capacity_oracles.py: error: argument trials:")
     assert "Traceback" not in done.stderr
 
 
