@@ -71,6 +71,6 @@ def mimo_ergodic_capacity_mc(
         raise ValueError("n_rx, m, and trials must all be >= 1")
     if not p > 0:
         raise ValueError(f"p must be > 0, got {p}")
-    scale = np.full(n_rx, math.sqrt(p / m))
-    mean, stderr = ergodic_logdet([scale], m, trials, [rng], {"phase": 0.0, "gram": 0.0})
+    scale = np.full((1, n_rx), math.sqrt(p / m))
+    mean, stderr = ergodic_logdet(scale, m, trials, [rng], {"phase": 0.0, "gram": 0.0})
     return float(mean[0]), float(stderr[0])

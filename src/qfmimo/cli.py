@@ -11,7 +11,8 @@ keeps OpenBLAS on one thread per process, unless OPENBLAS_NUM_THREADS or
 OMP_NUM_THREADS is set, so --workers is the only source of parallelism.
 
 Exit codes: 0 success, 2 invalid configuration (an --out path that is
-empty or cannot be written included, found before any point runs), 3
+empty or cannot be written included, found before any point runs, and a
+CSV write that fails, such as a full disk or a closed stdout pipe), 3
 numerical failure or a size too large for memory.
 """
 
@@ -58,6 +59,8 @@ def load_config(path: str) -> dict[str, str]:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
@@ -227,11 +230,20 @@ def _log_point(row: SweepRow) -> None:
 
 
 def _emit(rows: list[SweepRow], out: str | None) -> None:
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
+    """Write the CSV to `out` or stdout; a failed write is a ConfigError."""
+    try:
+        if out is not None:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                write_csv(rows, fh)
+        else:
+            write_csv(rows, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        if out is None:
+            # Interpreter shutdown flushes stdout again, and whatever a failed
+            # write left buffered would raise there, after the error line.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write the CSV to {out or 'stdout'}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -40,16 +40,18 @@ may lend, and written into a caller-owned output buffer when one is given.
 The draws are unit phases only; the row scales enter where the Gram matrix
 is formed.
 
-The log-det kernel takes one row-scale vector per channel, of any length,
-and draws unit phases Th in blocks of trials of about 8192 phase entries,
+The log-det kernel and its deterministic equivalent take a batch's row
+scales as one (J, rows) matrix in which a zero, such as a dropped relay's,
+is a row that is not there.  The kernel draws unit phases Th for each
+channel's nonzero rows in blocks of trials of about 8192 phase entries,
 into one phase buffer per channel, through one scratch set per call that
 all its channels share.  Consecutive blocks write their Gram matrices into
 one buffer spanning about 8192 Gram entries of trials, and each span gets
 one diagonal add and one slogdet, so the working set stays in cache, and
 memory grows with the trial count only by one float log-det per trial and
-channel.  The Gram form is chosen for
-OpenBLAS on one thread, as the CLI, its sweep workers and the scaling script
-run it (harness._one_blas_thread): a tall channel (more rows than antennas)
+channel.  The Gram form is chosen for OpenBLAS on one thread, as the CLI,
+its sweep workers and the scaling script run it
+(harness._one_blas_thread): a tall channel (more rows than antennas)
 of more than 2**19 complex multiply-adds per trial scales the interleaved
 (re, im) float view x of its phase block in place to S = D Th, D =
 diag(scale), and forms S'S as the real symmetric product x^T x, one BLAS
@@ -327,7 +329,7 @@ def _channel_logdets(
 
 
 def ergodic_logdet(
-    row_scales: Sequence[np.ndarray],
+    row_scales: np.ndarray,
     m: int,
     trials: int,
     rngs: Sequence[np.random.Generator],
@@ -335,10 +337,10 @@ def ergodic_logdet(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo means and standard errors of log2 det(I + S S'), one per channel.
 
-    Channel r has the 1-D row scales row_scales[r], of any length rows:
-    S = diag(row_scales[r]) Th with Th a fresh (rows, m) phase matrix per
-    trial, drawn from rngs[r] by phase_matrix.  Returns two (J,) arrays; a
-    channel of no rows has log-det 0 and leaves its generator untouched.
+    Channel r's row scales s are row r's nonzero entries, in order: a zero
+    is a row that is not there.  S = diag(s) Th with Th a fresh (s.size, m)
+    phase matrix per trial, drawn from rngs[r] by phase_matrix.  Returns two
+    (J,) arrays; an all-zero row gives 0 and leaves its generator untouched.
     The determinant is evaluated on the smaller side of the product.  Each
     channel's trials are drawn in consecutive blocks, which consume the same
     random stream as one draw of every trial; consecutive blocks write their
@@ -353,20 +355,21 @@ def ergodic_logdet(
     start = perf_counter()
     if len(rngs) != len(row_scales):
         raise ValueError(f"{len(row_scales)} channels need as many generators, got {len(rngs)}")
-    for scale in row_scales:
-        if scale.size > m and np.finfo(float).eps * m * (scale @ scale) > _TALL_GRAM_LIMIT:
+    counts = np.count_nonzero(row_scales, axis=1).tolist()
+    for scale, rows in zip(row_scales, counts):
+        if rows > m and np.finfo(float).eps * m * (scale @ scale) > _TALL_GRAM_LIMIT:
             raise FloatingPointError(
-                f"row scales up to {scale.max():.3g} over {scale.size} rows are too "
+                f"row scales up to {scale.max():.3g} over {rows} rows are too "
                 f"large for an accurate {m}x{m} Gram log-det"
             )
     vals = np.empty((len(row_scales), trials))
     # One scratch set for every channel, sized for the largest block: one
     # set per channel would be freed and faulted back in channel by channel.
     scratch = _PhaseScratch(
-        max((_block_trials(s.size, m, trials) * s.size * m for s in row_scales), default=0)
+        max((_block_trials(rows, m, trials) * rows * m for rows in counts), default=0)
     )
     drawing = sum(
-        _channel_logdets(scale, m, gen, out, scratch)
+        _channel_logdets(scale[scale != 0.0], m, gen, out, scratch)
         for out, scale, gen in zip(vals, row_scales, rngs)
     )
     vals /= _LOG2
@@ -377,12 +380,12 @@ def ergodic_logdet(
     return mean, stderr
 
 
-def de_logdet(row_scales: Sequence[np.ndarray], m: int) -> np.ndarray:
+def de_logdet(row_scales: np.ndarray, m: int) -> np.ndarray:
     """Deterministic equivalent of E log2 det(I + S S'), one per channel.
 
-    The finite-size oracle of ergodic_logdet, for the same row scales s and
-    S = diag(s) Th.  With d = s**2, t solves t = 1 / (1 + sum_i d_i t_i),
-    t_i = 1 / (1 + m d_i t), and in nats
+    The finite-size oracle of ergodic_logdet, for the same (J, n) matrix of
+    row scales s and S = diag(s) Th.  With d = s**2, t solves
+    t = 1 / (1 + sum_i d_i t_i), t_i = 1 / (1 + m d_i t), and in nats
 
         C = sum_i log(1 + m d_i t) + m log(1 + sum_i d_i t_i)
             - m t sum_i d_i t_i + (m/2) t**2 sum_i d_i**2 t_i**2.
@@ -393,13 +396,11 @@ def de_logdet(row_scales: Sequence[np.ndarray], m: int) -> np.ndarray:
     E|th|**4 - 2 is -1.  t is the root of the increasing, concave
     g(x) = x (1 + sum_i d_i / (1 + m d_i x)) = 1, so Newton's method from
     x = 0 rises monotonically to it; each channel's x stops when it stops
-    rising.  The channels are solved together in one (J, max rows) matrix of
-    d, each padded with d = 0, which adds nothing to any sum.  Returns a (J,)
-    array; a channel of no rows gives 0.
+    rising.  The channels are solved together, and a zero, a row that is not
+    there, adds nothing to any sum.  Returns a (J,) array; an all-zero row
+    gives 0.
     """
-    d = np.zeros((len(row_scales), max((s.size for s in row_scales), default=0)))
-    for row, scale in zip(d, row_scales):
-        row[: scale.size] = scale * scale
+    d = row_scales * row_scales
     md = m * d
     x = np.zeros(len(d))
     while True:
@@ -480,16 +481,12 @@ def quantized_mimo_rate(
     its rate averages log2 det(I + (p0/m) G Th Th' G Q^{-1}) over fresh phase
     draws from rngs[r], with rows of NO_RELAY noise dropped.  Returns three (J,)
     arrays (rate, standard error, mean log-det), where rate = (delta/n) *
-    mean log-det.  The destinations' kept rows, however many each keeps, go
-    to one ergodic_logdet call, which adds its seconds to `timings`.
+    mean log-det.  Their (J, n2) row scales, 0 at NO_RELAY, go to one
+    ergodic_logdet call, which adds its seconds to `timings`.
     """
     # det(I + c G Th Th' G Q^{-1}) = det(I + S S') with S = diag(row_scale) Th,
-    # since G and Q are diagonal and commute.
-    scale = math.sqrt(p0 / m)
-    row_scales = [
-        scale * gamma[keep] / np.sqrt(1.0 + noise[keep])
-        for noise, keep in zip(noises, np.isfinite(noises))
-    ]
+    # since G and Q are diagonal and commute; 1 / sqrt(inf) drops a relay.
+    row_scales = math.sqrt(p0 / m) * gamma / np.sqrt(1.0 + noises)
     mean, stderr = ergodic_logdet(row_scales, m, trials, rngs, timings)
     share = delta / n
     return share * mean, share * stderr, mean

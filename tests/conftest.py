@@ -22,6 +22,10 @@ def pytest_configure(config):
     # CLI tests that spawn `python -m qfmimo.cli` need the source tree too.
     parts = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     os.environ["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
+    # The suite runs OpenBLAS on one thread, as the CLI does, unless
+    # OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set: on a loaded host a
+    # spinning BLAS worker thread made the log-det tests several times slower.
+    harness._one_blas_thread()
 
 
 def _openblas_getter():

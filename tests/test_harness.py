@@ -548,6 +548,32 @@ def test_cli_numerical_failure_prints_only_its_error(tmp_path, flags):
     assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize("target", ["full_disk", "closed_pipe"])
+def test_cli_failed_csv_write_exits_2_with_one_error_line(target):
+    # A full disk (ENOSPC) or a stdout pipe whose reader is gone (EPIPE) used
+    # to end in a traceback with exit 1; a closed stdout raised once more at
+    # interpreter shutdown.
+    argv = [sys.executable, "-m", "qfmimo.cli", *TINY_POINT]
+    if target == "full_disk":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this host")
+        done = subprocess.run(
+            [*argv, "--out", "/dev/full"], capture_output=True, text=True, timeout=120
+        )
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                argv, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120
+            )
+        finally:
+            os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    (line,) = [ln for ln in done.stderr.splitlines() if not ln.startswith("point m=")]
+    assert line.startswith("error: cannot write the CSV to ")
+
+
 def test_serial_runs_load_neither_the_process_pool_nor_numpy_ma():
     # A fresh process that runs a point, a serial sweep and a tie repair of
     # the grouping keys imports neither the process pool (multiprocessing)
@@ -663,6 +689,17 @@ def test_cli_bad_config_value_exits_2_with_one_error_line(no_point, tmp_path, ca
     (err,) = capsys.readouterr().err.splitlines()
     assert err.startswith("error: ")
     assert not out.exists()
+
+
+def test_cli_config_that_is_not_utf8_exits_2_with_one_error_line(no_point, tmp_path, capsys):
+    # A byte that is not UTF-8 used to raise UnicodeDecodeError, with exit 1.
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"m = 3\xff\n")
+    with pytest.raises(ConfigError):
+        load_config(str(cfg))
+    assert main(["--config", str(cfg)]) == 2
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {cfg}: ")
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--sample-size", "--workers"])

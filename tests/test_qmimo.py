@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,14 @@ def _rate_one(gamma, noises, p0, m, delta, n, trials, rng):
 def _logdet_one(row_scale, m, trials, rng):
     mean, stderr = ergodic_logdet(row_scale[None], m, trials, [rng], _timings())
     return mean[0], stderr[0]
+
+
+def _padded(vectors):
+    """Row-scale vectors of any lengths as one zero-padded (J, rows) matrix."""
+    out = np.zeros((len(vectors), max((v.size for v in vectors), default=0)))
+    for row, v in zip(out, vectors):
+        row[: v.size] = v
+    return out
 
 
 def _destination_rate(realization, k, j, params, rng):
@@ -215,6 +224,23 @@ def test_no_relay_rows_are_dropped():
     assert with_drop == alone
 
 
+def test_no_relay_inside_a_batch_is_a_zero_row_scale_without_warning():
+    # 1 / sqrt(1 + inf) is exactly 0 with no RuntimeWarning, which pyproject
+    # turns into an error; the dropped middle relay leaves the other rows'
+    # bits and the generators' end states as if it were never there.
+    gamma = np.array([2.0, 1.5, 1.0])
+    noises = np.array([[0.0, NO_RELAY, 0.4], [0.3, 0.0, 0.4]])
+    rngs, twins = [derive_rng(50), derive_rng(51)], [derive_rng(50), derive_rng(51)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = quantized_mimo_rate(gamma, noises, 1.0, 4, 0.5, 10, 16, rngs, _timings())
+    kept = _rate_one(gamma[[0, 2]], noises[0, [0, 2]], 1.0, 4, 0.5, 10, 16, twins[0])
+    full = _rate_one(gamma, noises[1], 1.0, 4, 0.5, 10, 16, twins[1])
+    for r, want in enumerate((kept, full)):
+        assert [v[r].hex() for v in got] == [v.hex() for v in want]
+        assert rngs[r].bit_generator.state == twins[r].bit_generator.state
+
+
 def test_all_rows_dropped_gives_zero_rate():
     rate, stderr, mean = _rate_one(
         np.ones(2), np.full(2, NO_RELAY), 1.0, 3, 0.5, 10, 16, derive_rng(4)
@@ -285,7 +311,7 @@ def test_logdet_builds_one_phase_scratch_per_call(monkeypatch):
         return scratch(entries)
 
     monkeypatch.setattr(qmimo, "_PhaseScratch", spy)
-    row_scales = [np.full(rows, 0.5) for rows in range(1, 41)]
+    row_scales = _padded([np.full(rows, 0.5) for rows in range(1, 41)])
     ergodic_logdet(row_scales, 8, 8, [derive_rng(r) for r in range(40)], _timings())
     assert sizes == [8 * 40 * 8]
 
@@ -398,10 +424,10 @@ def test_logdet_refuses_ill_conditioned_tall_gram():
     ids=["wide_both_forms", "tall_both_forms"],
 )
 def test_ragged_logdet_matches_one_channel_at_a_time(m, rows):
-    # Channels of different lengths in one call: wide and tall, in real and
-    # complex form (see _REAL_FORM_MACS), and one with no rows.  Each must
-    # give the bits and the generator end state of a call on that channel
-    # alone.
+    # Channels of different lengths in one call, zero-padded into one
+    # matrix: wide and tall, in real and complex form (see _REAL_FORM_MACS),
+    # and one with no rows.  Each must give the bits and the generator end
+    # state of a call on that channel alone.
     forms = {r > m and r * m * m > qmimo._REAL_FORM_MACS for r in rows if r}
     assert forms == {True, False}
     trials = 5
@@ -409,7 +435,7 @@ def test_ragged_logdet_matches_one_channel_at_a_time(m, rows):
     rngs = [derive_rng(30 + i) for i in range(len(rows))]
     twins = [derive_rng(30 + i) for i in range(len(rows))]
     fresh = [derive_rng(30 + i).bit_generator.state for i in range(len(rows))]
-    means, stderrs = ergodic_logdet(scales, m, trials, rngs, _timings())
+    means, stderrs = ergodic_logdet(_padded(scales), m, trials, rngs, _timings())
     assert means.shape == stderrs.shape == (len(rows),)
     for r, scale, mean, stderr, rng, twin, state in zip(
         rows, scales, means, stderrs, rngs, twins, fresh
@@ -420,6 +446,24 @@ def test_ragged_logdet_matches_one_channel_at_a_time(m, rows):
         if r == 0:
             assert (mean, stderr) == (0.0, 0.0)
             assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "rows, m", [(24, 128), (40, 16), (3000, 16)], ids=["wide", "tall_complex", "tall_real"]
+)
+def test_zero_row_scales_are_rows_that_are_not_there(rows, m):
+    # A channel's rows are its row's nonzero entries in order: zeros
+    # interspersed give the bits and the generator end state of the
+    # compacted row.
+    assert (rows > m and rows * m * m > qmimo._REAL_FORM_MACS) is (rows == 3000)
+    scale = np.linspace(0.2, 1.5, rows)
+    spread = np.zeros((1, 2 * rows + 3))
+    spread[0, np.sort(derive_rng(40).choice(spread.size, rows, replace=False))] = scale
+    rng, twin = derive_rng(41), derive_rng(41)
+    got = ergodic_logdet(spread, m, 5, [rng], _timings())
+    want = _logdet_one(scale, m, 5, twin)
+    assert (got[0][0].hex(), got[1][0].hex()) == (want[0].hex(), want[1].hex())
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def _complex_product_logdet(row_scale, m, trials, rng):
@@ -513,7 +557,7 @@ def test_de_logdet_matches_monte_carlo_on_synthetic_shapes(rows, m, trials):
     # Wide, square and tall channels at p = 1 per receive antenna.
     scale = np.full(rows, math.sqrt(1.0 / m))
     mean, stderr = _logdet_one(scale, m, trials, derive_rng(7, rows, m))
-    assert abs(mean - qmimo.de_logdet([scale], m)[0]) <= DE_STDERRS * stderr
+    assert abs(mean - qmimo.de_logdet(scale[None], m)[0]) <= DE_STDERRS * stderr
 
 
 @pytest.mark.parametrize(
@@ -524,16 +568,27 @@ def test_de_logdet_one_row_pin(m, bound):
     # maxima over m d in [1e-3, 1e4] are 1.72e-2, 4.0e-3, 9.7e-4 and 5.9e-5
     # bits at m = 4, 8, 16 and 64.
     md = np.logspace(-3.0, 4.0, 401)
-    de = qmimo.de_logdet([np.array([math.sqrt(v / m)]) for v in md], m)
+    de = qmimo.de_logdet(np.sqrt(md / m)[:, None], m)
     assert np.abs(de - np.log2(1.0 + md)).max() <= bound
 
 
 def test_de_logdet_of_no_rows_is_zero():
-    assert qmimo.de_logdet([], 4).shape == (0,)
+    assert qmimo.de_logdet(np.empty((0, 0)), 4).shape == (0,)
     scale = np.full(3, 0.5)
-    got = qmimo.de_logdet([np.empty(0), scale, np.empty(0)], 4)
+    got = qmimo.de_logdet(_padded([np.empty(0), scale, np.empty(0)]), 4)
     assert got[0] == got[2] == 0.0
-    assert got[1] == pytest.approx(qmimo.de_logdet([scale], 4)[0], rel=1e-14)
+    assert got[1] == pytest.approx(qmimo.de_logdet(scale[None], 4)[0], rel=1e-14)
+
+
+def test_de_logdet_reads_interspersed_zeros_as_trailing_ones():
+    # The same 37 row scales, trailing and interspersed among zeros.
+    scale = np.linspace(0.05, 2.0, 37)
+    rows = np.zeros((2, 100))
+    rows[0, : scale.size] = scale
+    rows[1, np.sort(derive_rng(42).choice(100, scale.size, replace=False))] = scale
+    for m in (4, 32, 128):
+        trailing, spread = qmimo.de_logdet(rows, m)
+        assert spread == pytest.approx(trailing, rel=1e-14, abs=0.0)
 
 
 def _de_reference(scale, m):
@@ -568,8 +623,8 @@ def test_de_logdet_solves_slow_fixed_points(rows, m, d):
     # bisection reference.
     scale = np.full(rows, math.sqrt(d))
     want = _de_reference(scale, m)
-    assert qmimo.de_logdet([scale], m)[0] == pytest.approx(want, rel=1e-12)
-    batch = qmimo.de_logdet([np.full(5, 0.1), scale, np.empty(0)], m)
+    assert qmimo.de_logdet(scale[None], m)[0] == pytest.approx(want, rel=1e-12)
+    batch = qmimo.de_logdet(_padded([np.full(5, 0.1), scale, np.empty(0)]), m)
     assert batch[1] == pytest.approx(want, rel=1e-12)
     assert batch[0] == pytest.approx(_de_reference(np.full(5, 0.1), m), rel=1e-12)
 
@@ -638,7 +693,7 @@ def test_iid_surrogate_square_matrix_matches_regime_oracle():
     n2 = m = 64
     rate = _iid_surrogate(n2, m, 1.0, 0.0, 0.5, 1000, 200, derive_rng(3))
     per_antenna = rate * 1000 / (0.5 * n2)
-    oracle = qmimo.de_logdet([np.full(n2, math.sqrt(1.0 / m))], m)[0] / n2
+    oracle = qmimo.de_logdet(np.full((1, n2), math.sqrt(1.0 / m)), m)[0] / n2
     assert abs(per_antenna - oracle) / oracle < 1e-3
 
 
@@ -675,9 +730,9 @@ def test_rate_needs_one_generator_per_destination():
     with pytest.raises(ValueError):
         achievable_rate(r, 0, np.arange(3), p, [rng], _timings())
     with pytest.raises(ValueError):
-        ergodic_logdet([np.ones(2)] * 3, 2, 4, [rng], _timings())
+        ergodic_logdet(np.ones((3, 2)), 2, 4, [rng], _timings())
     with pytest.raises(ValueError):
-        ergodic_logdet([np.ones(2)], 2, 4, [rng, derive_rng(1)], _timings())
+        ergodic_logdet(np.ones((1, 2)), 2, 4, [rng, derive_rng(1)], _timings())
     assert rng.bit_generator.state == state
 
 
