@@ -12,7 +12,7 @@ NetworkParams.mode selects:
 
 * "tdma": exact-geometry SINR under the 4-cell reuse pattern, from one
   table of the rank-i transmitters of the group and its co-active groups
-  and one array of their squared distances to every receiver,
+  and their distances to the receivers, one chunk of receivers at a time,
 * "hier": the hierarchical-cooperation per-node rate guarantee
   c2 * n2**(-epsilon).
 
@@ -32,6 +32,12 @@ from .netgeom import NetworkParams, NetworkRealization
 # Partial-sum length for the zeta evaluation; with the Euler-Maclaurin tail
 # below this keeps the absolute error under 1e-9 for every s > 1.
 _ZETA_TERMS = 20_000
+
+# Entries one batch may hold: each (J, n2) matrix of capacities or noises
+# that qmimo.sum_rate rates at once, and each chunk of receivers' (J, n2,
+# 1 + groups) interference arrays in _exact_sinr_capacities.  A destination
+# or receiver that alone exceeds the budget forms a batch of one.
+_BATCH_ENTRIES = 3 * 2**14
 
 
 def riemann_zeta(s: float) -> float:
@@ -97,8 +103,7 @@ def _exact_sinr_capacities(
     own observation, is infinite.  The SINR reads p1 and alpha from `params`;
     callers check that every rank belongs to group k.
     """
-    members = realization.group_members[k]
-    n2 = members.size
+    n2 = realization.n2_of(k)
     cells = np.asarray(realization.group_cells)
     co_active = np.flatnonzero(((cells & 1) == (cells[k] & 1)).all(axis=1))
     groups = np.concatenate(([k], co_active[co_active != k]))
@@ -107,19 +112,24 @@ def _exact_sinr_capacities(
     starts = np.cumsum(sizes) - sizes
     flat = np.concatenate([realization.group_members[l] for l in groups])
     tx = flat[starts + np.minimum(np.arange(n2)[:, None], sizes - 1)]
-    pos = realization.dest_pos
-    rows = np.arange(ranks.size)
-    x, y = np.take(pos, tx, axis=0).transpose(2, 0, 1)
-    rx, ry = pos[members[ranks]].T[..., None, None]
-    dist2 = (x - rx) ** 2 + (y - ry) ** 2
-    # Each row holds its receiver's own zero distance; any other zero is a clash.
-    if np.count_nonzero(dist2 == 0.0) > ranks.size:
-        raise ValueError("transmitter and receiver share a position")
-    dist2[rows, ranks, 0] = 1.0  # any positive value: the self link is overwritten below
-    gain = params.p1 * dist2 ** (-params.alpha / 2.0)
-    sinr = gain[..., 0] / (1.0 + gain[..., 1:].sum(axis=-1))
-    caps = np.log2(1.0 + sinr) / n2
-    caps[rows, ranks] = math.inf
+    x, y = np.take(realization.dest_pos, tx, axis=0).transpose(2, 0, 1)
+    caps = np.empty((ranks.size, n2))
+    # Each chunk of receivers holds at most _BATCH_ENTRIES distances, or one
+    # receiver's; a row's capacities do not depend on its chunk.
+    chunk = max(1, _BATCH_ENTRIES // tx.size)
+    for lo in range(0, ranks.size, chunk):
+        part = ranks[lo : lo + chunk]
+        # Column 0 is group k itself, so its row j is rank j's own position.
+        dist2 = (x - x[part, :1, None]) ** 2 + (y - y[part, :1, None]) ** 2
+        # Each row holds its receiver's own zero distance; any other zero is a clash.
+        if np.count_nonzero(dist2 == 0.0) > part.size:
+            raise ValueError("transmitter and receiver share a position")
+        # Any positive value: the self link is overwritten below.
+        dist2[np.arange(part.size), part, 0] = 1.0
+        gain = params.p1 * dist2 ** (-params.alpha / 2.0)
+        sinr = gain[..., 0] / (1.0 + gain[..., 1:].sum(axis=-1))
+        caps[lo : lo + chunk] = np.log2(1.0 + sinr) / n2
+    caps[np.arange(ranks.size), ranks] = math.inf
     return caps
 
 

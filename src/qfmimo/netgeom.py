@@ -82,12 +82,14 @@ class NetworkParams:
     sample_size: int = 50
 
     def __post_init__(self) -> None:
+        # Numpy integers, as np.arange gives, are stored as ints.
         for name in ("m", "seed", "trials", "sample_size"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+            object.__setattr__(self, name, int(v))
+            if name != "seed" and v < 1:
+                raise ValueError(f"{name} must be >= 1, got {v}")
         for name in ("beta", "alpha", "p0", "p1", "c2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -113,15 +115,14 @@ class NetworkParams:
             )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
 
     @property
     def n(self) -> int:
         """Destination count, n = round(m**beta) >= 1."""
-        return max(1, round(self.m**self.beta))
+        try:
+            return max(1, round(self.m**self.beta))
+        except OverflowError:
+            raise ValueError(f"m**beta overflows a float at m={self.m}, beta={self.beta}") from None
 
 
 @dataclass
@@ -250,10 +251,13 @@ def _key_fields(n: int, g: int) -> _KeyFields:
 
     The bound is known before any point is drawn, so every chunk can write
     its keys as soon as it has its distances, and no distance's prefix
-    overflows its field.  The fields fit for n < 2**32.
+    overflows its field.  The fields fit for n < 2**32 on place_nodes's
+    grids; cell and index fields wider than 64 bits raise ValueError.
     """
     index_bits = max(1, (n - 1).bit_length())
     dist_bits = 64 - index_bits - max(1, (g * g - 1).bit_length())
+    if dist_bits < 0:
+        raise ValueError(f"n={n} points on a grid of side {g} need more than 64 key bits")
     shift = max(0, int(np.float64(_FARTHEST).view(np.uint64)).bit_length() - dist_bits)
     return _KeyFields(g, index_bits, dist_bits, shift)
 

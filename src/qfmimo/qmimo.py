@@ -75,7 +75,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .linkrate import link_capacity
+from .linkrate import _BATCH_ENTRIES, link_capacity
 from .netgeom import NetworkParams, NetworkRealization
 
 # Distinguished quantization-noise value for a relay whose link is useless.
@@ -152,11 +152,9 @@ _TALL_GRAM_LIMIT = 1e-3
 # Relative slack of check_rate_constraints's comparisons, for float roundoff.
 _CONSTRAINT_RTOL = 1e-9
 
-# Entries one destination batch of sum_rate may hold per (J, n2) matrix of
-# capacities or noises, and in tdma in its interference distances (at most
-# n2 * n1 per receiver); a destination that alone exceeds the budget forms a
-# batch of one.
-_BATCH_ENTRIES = 3 * 2**14
+# sum_rate's batch budget, _BATCH_ENTRIES, is linkrate's: the tdma link
+# kernel chunks its receivers by the same constant, so a batch is sized by
+# its (J, n2) matrices alone in either mode.
 
 
 class _PhaseScratch:
@@ -668,12 +666,6 @@ class RateReport:
         return len(self.destinations)
 
 
-def _batch_size(realization: NetworkRealization, k: int, params: NetworkParams) -> int:
-    """Destinations of group k one achievable_rate call may rate together."""
-    per_dest = realization.n2_of(k) * (realization.n1 if params.mode == "tdma" else 1)
-    return max(1, _BATCH_ENTRIES // per_dest)
-
-
 def sum_rate(
     realization: NetworkRealization,
     params: NetworkParams,
@@ -685,8 +677,8 @@ def sum_rate(
     destinations (all of them when it is at least n); each one consumes an
     independent substream seeded from rng, so evaluation order and worker
     count cannot change the result.  The sample is rated in batches of
-    destinations sharing a group, at most _batch_size of them at a time, and
-    reported in sampling order.
+    destinations sharing a group, at most _BATCH_ENTRIES // n2 (at least
+    one) at a time, and reported in sampling order.
     """
     n = realization.n
     if params.sample_size >= n:
@@ -707,7 +699,7 @@ def sum_rate(
         members = realization.group_members[k]
         by_index = np.argsort(members)
         run_ranks = by_index[np.searchsorted(members, chosen[run], sorter=by_index)]
-        size = _batch_size(realization, k, params)
+        size = max(1, _BATCH_ENTRIES // realization.n2_of(k))
         for lo in range(0, run.size, size):
             batch = run[lo : lo + size]
             rngs = [np.random.default_rng(int(seed)) for seed in dest_seeds[batch]]

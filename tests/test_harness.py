@@ -65,6 +65,13 @@ def test_run_point_deterministic_rows():
     assert run_point(p).row().to_csv() == run_point(p).row().to_csv()
 
 
+def test_numpy_integer_params_give_the_same_row():
+    p = NetworkParams(m=4, seed=3, **FAST)
+    q = NetworkParams(m=np.int64(4), seed=np.int64(3), trials=np.int64(16), sample_size=np.int64(4))
+    assert q == p
+    assert run_point(q).row().to_csv() == run_point(p).row().to_csv()
+
+
 @pytest.mark.parametrize("mode", ["tdma", "hier"])
 def test_run_point_holds_no_distance_array(mode):
     # 2**18 destinations and no exclusion disk, so the minimum-distance guard
@@ -438,6 +445,14 @@ def test_cli_numerical_failure_exits_3(tmp_path):
     rc = main(["--m", "4", "--beta", "3", "--trials", "4", "--sample-size", "3",
                "--p0", "1e16", "--seed", "1", "--out", str(tmp_path / "graded.csv")])
     assert rc == 3
+
+
+def test_cli_overflowing_destination_count_exits_3_with_one_error_line(capsys):
+    # 4**1000 overflows a float: README files sizes no machine holds as exit 3.
+    assert main(["--m", "4", "--beta", "1000"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "beta=1000" in err[0]
 
 
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])

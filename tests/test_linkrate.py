@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from qfmimo import (
     riemann_zeta,
     tdma_worst_case_capacity,
 )
+from qfmimo import linkrate
 
 # Apery's constant, frozen from the literature; the in-test oracle for any
 # expression involving zeta(3).
@@ -218,6 +220,21 @@ def test_transmitter_at_receiver_position_rejected(build):
         link_capacity(r, 0, np.array([0]), EXACT_PARAMS)
 
 
+@pytest.mark.parametrize(
+    "build", [_clash_in_group, _clash_with_co_active_group], ids=["in_group", "co_active"]
+)
+def test_clash_in_a_later_receiver_chunk_rejected(monkeypatch, build):
+    # One entry per chunk gives every receiver a chunk of its own.  The last
+    # rank shares no position, so it rates alone, and rank 0's clash comes
+    # in the second chunk.
+    monkeypatch.setattr(linkrate, "_BATCH_ENTRIES", 1)
+    r = build()
+    last = r.n2_of(0) - 1
+    link_capacity(r, 0, np.array([last]), EXACT_PARAMS)
+    with pytest.raises(ValueError, match="share a position"):
+        link_capacity(r, 0, np.array([last, 0]), EXACT_PARAMS)
+
+
 def test_capacity_nonnegative_on_random_networks():
     p = NetworkParams(m=4, beta=3.0, seed=2)
     r = place_nodes(p, derive_rng(2, 0))
@@ -316,3 +333,44 @@ def test_receiver_kernel_matches_pair_loop_on_random_network():
 def test_receiver_kernel_matches_pair_loop_with_clamped_rank():
     r = _two_group_realization(co_active=True)
     assert _assert_kernel_matches_reference(r, EXACT_PARAMS) == 2
+
+
+# ---------------------------------------------------------------------------
+# receiver chunks
+# ---------------------------------------------------------------------------
+
+
+def _largest_tdma_group(m, seed):
+    p = NetworkParams(m=m, beta=3.0, seed=seed)
+    r = place_nodes(p, derive_rng(seed, 0))
+    return p, r, max(range(r.n1), key=r.n2_of)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 8])
+def test_chunked_tdma_capacities_equal_one_chunk(monkeypatch, per_chunk):
+    p, r, k = _largest_tdma_group(8, 5)
+    n2 = r.n2_of(k)
+    ranks = np.random.default_rng(0).permutation(n2)
+    monkeypatch.setattr(linkrate, "_BATCH_ENTRIES", 2**62)
+    whole = link_capacity(r, k, ranks, p)
+    # A receiver's distances fill an (n2, 1 + groups) table; the 31 receivers
+    # make chunks of per_chunk, the last one shorter.
+    monkeypatch.setattr(linkrate, "_BATCH_ENTRIES", per_chunk * n2 * len(_co_active(r, k)))
+    assert n2 == 31
+    assert link_capacity(r, k, ranks, p).tobytes() == whole.tobytes()
+
+
+def test_tdma_link_capacity_of_a_whole_group_holds_one_chunk_of_distances():
+    # All 235 members of the largest group of tdma m = 32, seed 1: one
+    # (235, 235, 1 + groups) float array of them all would take 15 MiB.
+    p, r, k = _largest_tdma_group(32, 1)
+    n2 = r.n2_of(k)
+    assert n2 * n2 * len(_co_active(r, k)) * 8 > 15 * 2**20
+    tracemalloc.start()
+    try:
+        caps = link_capacity(r, k, np.arange(n2), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caps.shape == (n2, n2)
+    assert peak < 4 * 2**20

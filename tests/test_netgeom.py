@@ -73,6 +73,23 @@ def test_invalid_params_rejected(kwargs):
         NetworkParams(**kwargs)
 
 
+def test_numpy_integer_params_are_stored_as_ints():
+    numpy_ints = dict(m=np.int64(4), seed=np.uint64(7), trials=np.int32(4), sample_size=np.int8(3))
+    p = NetworkParams(**numpy_ints)
+    assert p == NetworkParams(m=4, seed=7, trials=4, sample_size=3)
+    assert all(type(getattr(p, name)) is int for name in numpy_ints)
+    for name in numpy_ints:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            NetworkParams(**{name: np.bool_(True)})
+    with pytest.raises(ValueError, match="m must be >= 1, got -4"):
+        NetworkParams(m=np.int64(-4))
+
+
+def test_overflowing_destination_count_names_m_and_beta():
+    with pytest.raises(ValueError, match=r"overflows a float at m=4, beta=1000\.0"):
+        NetworkParams(m=4, beta=1000.0).n
+
+
 def test_destination_count_rounding():
     assert NetworkParams(m=1, beta=1.0).n == 1
     assert NetworkParams(m=10, beta=4.0).n == 10_000
@@ -441,6 +458,15 @@ def test_distance_ties_keep_index_order_at_scale():
     pos = rng.integers(0, 13, size=(40_000, 2)) / 12
     r = realization_from_positions(pos, grid_side=3)
     _assert_lexsort_grouping(r)
+
+
+def test_grid_too_fine_for_the_sort_key_rejected():
+    # 1000 indices take 10 bits and 2**56 cells 56, 66 in all; at side 2**27
+    # the two fields fill 64 bits and leave the distance prefix none.
+    pos = np.random.default_rng(0).random((1000, 2))
+    with pytest.raises(ValueError, match="n=1000 points on a grid of side 268435456"):
+        realization_from_positions(pos, 2**28)
+    assert netgeom._key_fields(1000, 2**27).dist_bits == 0
 
 
 @pytest.mark.parametrize("grid_side", [2.9, 2.0, True, "2"])

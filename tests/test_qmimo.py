@@ -933,17 +933,16 @@ def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, bu
             assert np.unique(np.isfinite(noises).sum(axis=1)).size > 1
     if budget == "pairs":
         # Twice the largest group's entry count gives it batches of two.
-        budget = 2 * max(r.n2_of(k) for k in range(r.n1)) * (r.n1 if p.mode == "tdma" else 1)
+        budget = 2 * max(r.n2_of(k) for k in range(r.n1))
     if budget is not None:
-        # A destination of group k counts n2 entries, times n1 in tdma.  One
-        # entry gives every group, tdma or hier, batches of one; 256 gives
-        # the tdma groups of these cases batches of two to twelve, and the
-        # hier groups, of at most ten members, whole-group batches.
+        # A destination of group k counts n2 entries in either mode.  One
+        # entry gives every group batches of one; 256 gives the groups of
+        # these cases, of at most ten members in hier, whole-group batches.
         monkeypatch.setattr(qmimo, "_BATCH_ENTRIES", budget)
     batches = []
 
     def spy(realization, k, ranks, params, rngs, timings):
-        assert len(ranks) <= qmimo._batch_size(realization, k, params)
+        assert len(ranks) <= max(1, qmimo._BATCH_ENTRIES // realization.n2_of(k))
         batches.append((k, np.asarray(ranks).copy(), list(rngs)))
         rated, caps, noises = achievable_rate(realization, k, ranks, params, rngs, timings)
         # The bookkeeping a destination rebuilds alone is its row of the batch.
@@ -994,6 +993,23 @@ def test_batched_sum_rate_equals_per_destination_reference(monkeypatch, case, bu
     for name in ("r_ind", "r_sum", "r_sum_stderr", "n_max", "c_link_min"):
         assert _bits(getattr(report, name)) == _bits(getattr(reference, name))
     assert set(report.timings) == {"link", "phase", "gram"}
+
+
+def test_full_sample_tdma_sum_rate_rates_each_group_in_one_batch(monkeypatch):
+    # The link layer chunks its own interference arrays, so a batch is sized
+    # by n2 alone: every group of tdma m = 16 (n2 of 36 to 82) is one batch.
+    p = NetworkParams(m=16, beta=3.0, seed=1, trials=1, sample_size=4096)
+    r = place_nodes(p, derive_rng(p.seed, 0))
+    assert r.n == 4096 and r.n1 == 64
+    calls = []
+
+    def spy(realization, k, ranks, params, rngs, timings):
+        calls.append((k, np.sort(ranks).tolist()))
+        return achievable_rate(realization, k, ranks, params, rngs, timings)
+
+    monkeypatch.setattr(qmimo, "achievable_rate", spy)
+    sum_rate(r, p, derive_rng(p.seed, 1))
+    assert calls == [(k, list(range(r.n2_of(k)))) for k in range(r.n1)]
 
 
 def test_rank_array_with_one_bad_rank_raises():
