@@ -99,37 +99,38 @@ def _exact_sinr_capacities(
     path-loss value, so the ergodic log2(1 + SINR) equals its single-draw
     value.  The in-set TDMA share contributes the 1/n2 prefactor, and every
     entry is >= 0 by construction.  Row r holds the capacities of links
-    i -> ranks[r] for all ranks i at once; its entry ranks[r], the receiver's
-    own observation, is infinite.  The SINR reads p1 and alpha from `params`;
-    callers check that every rank belongs to group k.
+    i -> ranks[r]; its entry ranks[r] is left for link_capacity to set.  Each
+    chunk of receivers works in two chunk-sized float arrays.  The SINR reads
+    p1 and alpha from `params`; callers check that ranks lie in group k.
     """
     n2 = realization.n2_of(k)
     cells = np.asarray(realization.group_cells)
     co_active = np.flatnonzero(((cells & 1) == (cells[k] & 1)).all(axis=1))
     groups = np.concatenate(([k], co_active[co_active != k]))
     # tx[i, c] is the rank-min(i, size - 1) member of groups[c], group k first.
-    sizes = realization.cell_counts[cells[groups, 0], cells[groups, 1]]
-    starts = np.cumsum(sizes) - sizes
-    flat = np.concatenate([realization.group_members[l] for l in groups])
-    tx = flat[starts + np.minimum(np.arange(n2)[:, None], sizes - 1)]
+    rank = np.arange(n2)
+    tx = np.stack([realization.group_members[l].take(rank, mode="clip") for l in groups], axis=1)
     x, y = np.take(realization.dest_pos, tx, axis=0).transpose(2, 0, 1)
     caps = np.empty((ranks.size, n2))
     # Each chunk of receivers holds at most _BATCH_ENTRIES distances, or one
     # receiver's; a row's capacities do not depend on its chunk.
     chunk = max(1, _BATCH_ENTRIES // tx.size)
+    scratch = np.empty((2, min(chunk, ranks.size)) + tx.shape)
     for lo in range(0, ranks.size, chunk):
         part = ranks[lo : lo + chunk]
-        # Column 0 is group k itself, so its row j is rank j's own position.
-        dist2 = (x - x[part, :1, None]) ** 2 + (y - y[part, :1, None]) ** 2
+        gain, dy2 = scratch[:, : part.size]
+        # Squared distances first, then gains, in place.  Column 0 is group k
+        # itself, so its row j is rank j's own position.
+        np.square(np.subtract(x, x[part, :1, None], out=gain), out=gain)
+        gain += np.square(np.subtract(y, y[part, :1, None], out=dy2), out=dy2)
         # Each row holds its receiver's own zero distance; any other zero is a clash.
-        if np.count_nonzero(dist2 == 0.0) > part.size:
+        if np.count_nonzero(gain == 0.0) > part.size:
             raise ValueError("transmitter and receiver share a position")
-        # Any positive value: the self link is overwritten below.
-        dist2[np.arange(part.size), part, 0] = 1.0
-        gain = params.p1 * dist2 ** (-params.alpha / 2.0)
-        sinr = gain[..., 0] / (1.0 + gain[..., 1:].sum(axis=-1))
-        caps[lo : lo + chunk] = np.log2(1.0 + sinr) / n2
-    caps[np.arange(ranks.size), ranks] = math.inf
+        # Any positive value: link_capacity overwrites the self link.
+        gain[np.arange(part.size), part, 0] = 1.0
+        gain **= -params.alpha / 2.0
+        gain *= params.p1
+        caps[lo : lo + chunk] = np.log2(1.0 + gain[..., 0] / (1.0 + gain[..., 1:].sum(axis=-1))) / n2
     return caps
 
 
@@ -144,9 +145,7 @@ def exact_sinr_capacity(
     n2 = realization.n2_of(k)
     i, j = pair
     if i == j or not (0 <= i < n2 and 0 <= j < n2):
-        raise ValueError(
-            f"pair {pair} is not a directed link of a group of size {n2}"
-        )
+        raise ValueError(f"pair {pair} is not a directed link of a group of size {n2}")
     return float(_exact_sinr_capacities(realization, k, np.array([j]), params)[0, i])
 
 
@@ -157,17 +156,17 @@ def link_capacity(
 
     Returns a (J, n2) matrix for group k whose entry (r, i) is the capacity
     of link i -> ranks[r] under params.mode; entry (r, ranks[r]), the
-    receiver's own observation, is infinite.
+    receiver's own observation, is infinite in both modes, set here alone.
     """
     n2 = realization.n2_of(k)
     outside = ranks[(ranks < 0) | (ranks >= n2)]
     if outside.size:
         raise ValueError(
-            f"{outside.size} of {ranks.size} ranks not in group {k} of size {n2}, "
-            f"first {outside[0]}"
+            f"{outside.size} of {ranks.size} ranks not in group {k} of size {n2}, first {outside[0]}"
         )
     if params.mode == "tdma":
-        return _exact_sinr_capacities(realization, k, ranks, params)
-    caps = np.full((ranks.size, n2), hier_capacity(n2, params.epsilon, params.c2))
+        caps = _exact_sinr_capacities(realization, k, ranks, params)
+    else:
+        caps = np.full((ranks.size, n2), hier_capacity(n2, params.epsilon, params.c2))
     caps[np.arange(ranks.size), ranks] = math.inf
     return caps

@@ -346,13 +346,15 @@ def ergodic_logdet(
     slogdet call into a (J, trials) array of log-dets.  The seconds spent
     drawing the unit phases are added to timings["phase"], the rest (row
     scaling, Gram products and slogdet) to timings["gram"].  Raises, before
-    any draw, ValueError unless there is one generator per channel, and
-    FloatingPointError when a channel has rows > m and row scales too large
-    for the m x m Gram S'S to resolve det(I + S'S).
+    any draw, ValueError unless there is one generator per channel and
+    trials >= 1, and FloatingPointError when a channel has rows > m and row
+    scales too large for the m x m Gram S'S to resolve det(I + S'S).
     """
     start = perf_counter()
     if len(rngs) != len(row_scales):
         raise ValueError(f"{len(row_scales)} channels need as many generators, got {len(rngs)}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     counts = np.count_nonzero(row_scales, axis=1).tolist()
     for scale, rows in zip(row_scales, counts):
         if rows > m and np.finfo(float).eps * m * (scale @ scale) > _TALL_GRAM_LIMIT:

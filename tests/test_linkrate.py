@@ -362,7 +362,9 @@ def test_chunked_tdma_capacities_equal_one_chunk(monkeypatch, per_chunk):
 
 def test_tdma_link_capacity_of_a_whole_group_holds_one_chunk_of_distances():
     # All 235 members of the largest group of tdma m = 32, seed 1: one
-    # (235, 235, 1 + groups) float array of them all would take 15 MiB.
+    # (235, 235, 1 + groups) float array of them all would take 15 MiB.  A
+    # chunk-sized float array takes 0.375 MiB and the result 0.42 MiB, so
+    # the bound admits at most three such arrays alive at once, not five.
     p, r, k = _largest_tdma_group(32, 1)
     n2 = r.n2_of(k)
     assert n2 * n2 * len(_co_active(r, k)) * 8 > 15 * 2**20
@@ -373,4 +375,15 @@ def test_tdma_link_capacity_of_a_whole_group_holds_one_chunk_of_distances():
     finally:
         tracemalloc.stop()
     assert caps.shape == (n2, n2)
-    assert peak < 4 * 2**20
+    assert peak < 1.8 * 2**20
+
+
+@pytest.mark.parametrize("mode", ["tdma", "hier"])
+def test_self_links_are_exactly_the_receivers_own_entries(mode):
+    p, r, k = _largest_tdma_group(8, 5)
+    p = replace(p, mode=mode)
+    n2 = r.n2_of(k)
+    ranks = np.random.default_rng(1).permutation(n2)
+    one_hot = np.zeros((n2, n2), dtype=bool)
+    one_hot[np.arange(n2), ranks] = True
+    np.testing.assert_array_equal(np.isinf(link_capacity(r, k, ranks, p)), one_hot)

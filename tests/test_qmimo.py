@@ -736,6 +736,17 @@ def test_rate_needs_one_generator_per_destination():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_ergodic_logdet_needs_at_least_one_trial(trials):
+    # Zero trials used to give a NaN mean with a zero standard error, and
+    # negative ones failed inside numpy on the log-det buffer's shape.
+    rng = derive_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="trials"):
+        ergodic_logdet(np.full((1, 3), 0.1), 2, trials, [rng], _timings())
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # constraint system
 # ---------------------------------------------------------------------------
